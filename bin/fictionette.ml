@@ -161,13 +161,21 @@ let load_defect_map = function
       | Ok m -> Ok (Some m)
       | Error e -> Error e)
 
+(* The user's ground-state engine — an explicit flag, else
+   FICTIONETTE_SIM_ENGINE — resolved once per command and passed down. *)
+let sim_engine ?flag () =
+  Sidb.Bdl.resolve_engine ~flag ~env:(Sys.getenv_opt Sidb.Bdl.engine_env_var)
+
 (* Replay a fixed defect map over the routed (absolute-frame) layout;
    prints the per-tile report and returns the soft check failures. *)
 let replay_defects defect_map (result : Core.Flow.result) =
   match defect_map with
   | None -> []
   | Some map ->
-      let r = Bestagon.Yield.under_map map result.Core.Flow.gate_layout in
+      let r =
+        Bestagon.Yield.under_map ?engine:(sim_engine ()) map
+          result.Core.Flow.gate_layout
+      in
       Format.printf "%a" Bestagon.Yield.pp_map_report r;
       if r.Bestagon.Yield.failed_tiles = 0 then []
       else
@@ -495,9 +503,10 @@ let simulate_cmd =
   let sim_engine_arg =
     let doc =
       "Ground-state engine: $(b,exhaustive), $(b,pruned), or \
-       $(b,quicksim).  Defaults to $(b,FICTIONETTE_SIM_ENGINE) if set, \
-       else automatic (exact pruned search on small systems, quicksim \
-       above the exact-engine site limit)."
+       $(b,quicksim).  Overrides $(b,FICTIONETTE_SIM_ENGINE); with \
+       neither, a gate uses exact pruned search and $(b,--layout) \
+       selects automatically (pruned on small systems, quicksim above \
+       the exact-engine site limit)."
     in
     Arg.(
       value & opt (some sim_engine_conv) None
@@ -655,11 +664,7 @@ let simulate_cmd =
             Format.eprintf "error: no validation harness for %S@." name;
             1
         | Some structure, Some spec when domain ->
-            let engine =
-              match engine with
-              | Some e -> e
-              | None -> Sidb.Bdl.default_engine ()
-            in
+            let engine = Option.value engine ~default:Sidb.Bdl.Pruned in
             let steps = if steps > 0 then steps else 16 in
             let x_axis =
               { Core.Flow.default_domain_x_axis with Sidb.Operational_domain.steps }
@@ -678,11 +683,7 @@ let simulate_cmd =
               ~exact:(Sidb.Bdl.engine_exact engine)
               ~csv dom
         | Some structure, Some spec ->
-            let engine =
-              match engine with
-              | Some e -> e
-              | None -> Sidb.Bdl.default_engine ()
-            in
+            let engine = Option.value engine ~default:Sidb.Bdl.Pruned in
             let report = Sidb.Bdl.check ~engine structure ~spec in
             Format.printf "%s: engine %s (%s)@."
               (String.lowercase_ascii name)
@@ -776,12 +777,7 @@ let simulate_cmd =
   let action name layout engine deadline conflicts jobs confidence domain
       algorithm steps samples csv =
     apply_jobs jobs;
-    (* An explicit --engine becomes the process-wide default, so every
-       downstream ground-state call (library checks included) honors
-       it — same precedence as FICTIONETTE_SIM_ENGINE, but stronger. *)
-    (match engine with
-    | Some e -> Sidb.Bdl.set_default_engine e
-    | None -> ());
+    let engine = sim_engine ?flag:engine () in
     if layout then
       run_layout name engine deadline conflicts confidence ~domain ~algorithm
         ~steps ~samples ~csv
@@ -901,7 +897,8 @@ let yield_cmd =
                 (* Fixed-map replay: the defect-aware flow kept the layout
                    in the map's absolute lattice frame. *)
                 let r =
-                  Bestagon.Yield.under_map map result.Core.Flow.gate_layout
+                  Bestagon.Yield.under_map ?engine:(sim_engine ()) map
+                    result.Core.Flow.gate_layout
                 in
                 let threshold = Option.value min_yield ~default:1.0 in
                 let ok = r.Bestagon.Yield.map_yield >= threshold in
@@ -924,7 +921,8 @@ let yield_cmd =
                   { Sidb.Defects.missing; extra; charged; trials; seed }
                 in
                 let y =
-                  Bestagon.Yield.of_layout ~params result.Core.Flow.gate_layout
+                  Bestagon.Yield.of_layout ?engine:(sim_engine ()) ~params
+                    result.Core.Flow.gate_layout
                 in
                 let threshold = Option.value min_yield ~default:0.0 in
                 let ok = y.Bestagon.Yield.layout_yield >= threshold in
@@ -971,6 +969,7 @@ let design_cmd =
         1
     | Ok map -> (
         let options = options_of engine no_rewrite no_ha in
+        let sim = sim_engine () in
         let run ?defect_map () =
           Core.Flow.run_benchmark ~options ~paranoid ?defect_map
             ~budget:(budget_of deadline conflicts)
@@ -989,7 +988,7 @@ let design_cmd =
               None
           | Ok r ->
               let rep =
-                Bestagon.Yield.under_map map r.Core.Flow.gate_layout
+                Bestagon.Yield.under_map ?engine:sim map r.Core.Flow.gate_layout
               in
               Format.printf
                 "oblivious: %d/%d tile(s) operational under the map \
@@ -1003,7 +1002,8 @@ let design_cmd =
         | Error f -> report_failure f
         | Ok result ->
             let rep =
-              Bestagon.Yield.under_map map result.Core.Flow.gate_layout
+              Bestagon.Yield.under_map ?engine:sim map
+                result.Core.Flow.gate_layout
             in
             Format.printf
               "defect-aware: %d/%d tile(s) operational under the map \

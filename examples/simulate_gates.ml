@@ -79,7 +79,7 @@ let () =
         let assignment = [| row land 1 = 1; row lsr 1 = 1 |] in
         let sites = Sidb.Bdl.sites_for s assignment in
         let sys = Sidb.Charge_system.create Sidb.Model.default sites in
-        let result = Sidb.Ground_state.branch_and_bound sys in
+        let result = Sidb.Ground_state.pruned sys in
         match result.Sidb.Ground_state.states with
         | occ :: _ ->
             Format.printf "@.  inputs a=%b b=%b (energy %.4f eV):@."

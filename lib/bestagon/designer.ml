@@ -39,7 +39,7 @@ let score_structure ?(model = Sidb.Model.default) s ~spec =
     let expected = spec assignment in
     let sites = Sidb.Bdl.sites_for s assignment in
     let sys = Sidb.Charge_system.create model sites in
-    let result = Sidb.Ground_state.branch_and_bound ~max_states:16 sys in
+    let result = Sidb.Ground_state.pruned ~max_states:16 sys in
     let states = result.Sidb.Ground_state.states in
     let n_states = List.length states in
     let correct, polarized =

@@ -8,7 +8,7 @@
 
     The search is simulated annealing over canvas configurations (add /
     remove / move one dot), scored by exercising every input combination
-    with the exact {!Sidb.Ground_state.branch_and_bound} engine. *)
+    with the exact {!Sidb.Ground_state.pruned} engine. *)
 
 type params = {
   iterations : int;  (** SA steps (default 2000). *)

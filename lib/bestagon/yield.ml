@@ -25,16 +25,13 @@ let tile_seed base i =
   let z = logxor z (shift_right_logical z 31) in
   to_int (shift_right_logical z 2)
 
-let of_layout ?engine ?jobs ?model
+let of_layout ?(engine = Sidb.Bdl.Pruned) ?jobs ?model
     ?(params = Sidb.Defects.default_params) layout =
   (* Enumerate the simulatable tiles serially (cheap), then run the
      Monte-Carlo trials of each tile on the domain pool.  Per-tile
      seeds are splitmix-derived from the tile index, so the trials are
      order-independent and the parallel reports are bit-identical to
      the serial ([jobs = 1]) ones. *)
-  let engine =
-    match engine with Some e -> e | None -> Sidb.Bdl.default_engine ()
-  in
   let work = ref [] in
   let skipped = ref 0 in
   let index = ref 0 in
@@ -194,11 +191,8 @@ let replay_tile ~engine ~model defect_map coord structure spec =
   in
   (ok, structural_hits)
 
-let under_map ?engine ?jobs
+let under_map ?(engine = Sidb.Bdl.Pruned) ?jobs
     ?(model = Sidb.Model.default) defect_map layout =
-  let engine =
-    match engine with Some e -> e | None -> Sidb.Bdl.default_engine ()
-  in
   let work = ref [] in
   let skipped = ref 0 in
   Layout.Gate_layout.iter layout (fun coord tile ->

@@ -40,8 +40,7 @@ val of_layout :
     {!Parallel.Pool.default_jobs}); the per-tile seeds make the trials
     order-independent, so parallel results are bit-identical to serial
     ones (the layout-yield product is folded in tile order either way).
-    [engine] defaults to {!Sidb.Bdl.default_engine} (the pruned exact
-    engine unless overridden by CLI flag or environment). *)
+    [engine] defaults to the exact [Pruned] engine. *)
 
 val pp : Format.formatter -> t -> unit
 

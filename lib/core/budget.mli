@@ -13,10 +13,17 @@ type t = Sat.Budget.t = {
   deadline : float option;
   conflicts : int option;
   cancelled : unit -> bool;
+  clock : unit -> float;
 }
 
 val unlimited : t
-val of_seconds : ?conflicts:int -> ?cancelled:(unit -> bool) -> float -> t
+
+val of_seconds :
+  ?conflicts:int ->
+  ?cancelled:(unit -> bool) ->
+  ?clock:(unit -> float) ->
+  float ->
+  t
 val of_conflicts : int -> t
 val with_conflicts : int option -> t -> t
 val without_deadline : t -> t

@@ -753,6 +753,24 @@ type layout_sim = {
    structured refusal instead of an unbounded search. *)
 let exact_site_limit = 40
 
+(* The engine for an [n]-site system: the caller's choice, else exact
+   pruned search up to [exact_site_limit] and quicksim beyond it. *)
+let layout_engine ?engine n =
+  let engine =
+    match engine with
+    | Some e -> e
+    | None ->
+        if n <= exact_site_limit then Sidb.Bdl.Pruned
+        else Sidb.Bdl.Quicksim Sidb.Ground_state.default_quicksim
+  in
+  if Sidb.Bdl.engine_exact engine && n > exact_site_limit then
+    Error
+      (Printf.sprintf
+         "engine %s refused: %d sites exceed the %d-site exact-engine limit \
+          (use --engine quicksim)"
+         (Sidb.Bdl.engine_name engine) n exact_site_limit)
+  else Ok engine
+
 let simulate_layout ?engine ?(inputs = []) ?clock_bias ?confidence ?t_max
     result =
   match
@@ -761,83 +779,71 @@ let simulate_layout ?engine ?(inputs = []) ?clock_bias ?confidence ?t_max
   | Error e -> Error e
   | Ok asm -> (
       let n = asm.Bestagon.Assembly.site_count in
-      let engine =
-        match engine with
-        | Some e -> e
-        | None -> (
-            match Sidb.Bdl.configured_engine () with
-            | Some e -> e
-            | None ->
-                if n <= exact_site_limit then Sidb.Bdl.Pruned
-                else Sidb.Bdl.Quicksim Sidb.Ground_state.default_quicksim)
-      in
-      let exact = Sidb.Bdl.engine_exact engine in
-      if exact && n > exact_site_limit then
-        Error
-          (Printf.sprintf
-             "engine %s refused: %d sites exceed the %d-site exact-engine \
-              limit (use --engine quicksim)"
-             (Sidb.Bdl.engine_name engine) n exact_site_limit)
-      else
-        let sys = asm.Bestagon.Assembly.system in
-        let t0 = Unix.gettimeofday () in
-        match
-          match engine with
-          | Sidb.Bdl.Quicksim config ->
-              (* One sample pool serves both the ground state and the
-                 finite-temperature spectrum. *)
-              let spectrum = Sidb.Ground_state.quicksim_spectrum ~config sys in
-              let e0 =
-                match spectrum with (_, e) :: _ -> e | [] -> infinity
+      match layout_engine ?engine n with
+      | Error e -> Error e
+      | Ok engine ->
+          let exact = Sidb.Bdl.engine_exact engine in
+          let sys = asm.Bestagon.Assembly.system in
+          let t0 = Unix.gettimeofday () in
+          match
+            match engine with
+            | Sidb.Bdl.Quicksim config ->
+                (* One sample pool serves both the ground state and the
+                   finite-temperature spectrum. *)
+                let spectrum =
+                  Sidb.Ground_state.quicksim_spectrum ~config sys
+                in
+                let e0 =
+                  match spectrum with (_, e) :: _ -> e | [] -> infinity
+                in
+                let states =
+                  List.filter_map
+                    (fun (occ, e) ->
+                      if
+                        Float.abs (e -. e0) <= 1e-9
+                        && Sidb.Charge_system.physically_valid sys occ
+                      then Some occ
+                      else None)
+                    spectrum
+                in
+                ({ Sidb.Ground_state.energy = e0; states }, spectrum)
+            | e ->
+                let gs = Sidb.Bdl.solve e sys in
+                let spectrum =
+                  Sidb.Ground_state.spectrum ~max_states:4096
+                    ~window:Sidb.Temperature.default_window sys
+                in
+                (gs, spectrum)
+          with
+          | exception Invalid_argument msg ->
+              Error
+                (Printf.sprintf "engine %s refused the %d-site system: %s"
+                   (Sidb.Bdl.engine_name engine) n msg)
+          | gs, spectrum ->
+              let elapsed = Unix.gettimeofday () -. t0 in
+              let valid =
+                gs.Sidb.Ground_state.states <> []
+                && List.for_all
+                     (Sidb.Charge_system.physically_valid sys)
+                     gs.Sidb.Ground_state.states
               in
-              let states =
-                List.filter_map
-                  (fun (occ, e) ->
-                    if
-                      Float.abs (e -. e0) <= 1e-9
-                      && Sidb.Charge_system.physically_valid sys occ
-                    then Some occ
-                    else None)
-                  spectrum
-              in
-              ({ Sidb.Ground_state.energy = e0; states }, spectrum)
-          | e ->
-              let gs = Sidb.Bdl.solve e sys in
-              let spectrum =
-                Sidb.Ground_state.spectrum ~max_states:4096
-                  ~window:Sidb.Temperature.default_window sys
-              in
-              (gs, spectrum)
-        with
-        | exception Invalid_argument msg ->
-            Error
-              (Printf.sprintf "engine %s refused the %d-site system: %s"
-                 (Sidb.Bdl.engine_name engine) n msg)
-        | gs, spectrum ->
-            let elapsed = Unix.gettimeofday () -. t0 in
-            let valid =
-              gs.Sidb.Ground_state.states <> []
-              && List.for_all
-                   (Sidb.Charge_system.physically_valid sys)
-                   gs.Sidb.Ground_state.states
-            in
-            Ok
-              {
-                sim_engine = Sidb.Bdl.engine_name engine;
-                sim_exact = exact;
-                sim_sites = n;
-                sim_tiles = asm.Bestagon.Assembly.tile_count;
-                sim_energy = gs.Sidb.Ground_state.energy;
-                sim_degeneracy = List.length gs.Sidb.Ground_state.states;
-                sim_valid = valid;
-                sim_spectrum_states = List.length spectrum;
-                sim_critical_temperature_k =
-                  Sidb.Temperature.critical_temperature_of_spectrum ?confidence
-                    ?t_max spectrum;
-                sim_duplicates_dropped =
-                  asm.Bestagon.Assembly.duplicates_dropped;
-                sim_seconds = elapsed;
-              })
+              Ok
+                {
+                  sim_engine = Sidb.Bdl.engine_name engine;
+                  sim_exact = exact;
+                  sim_sites = n;
+                  sim_tiles = asm.Bestagon.Assembly.tile_count;
+                  sim_energy = gs.Sidb.Ground_state.energy;
+                  sim_degeneracy = List.length gs.Sidb.Ground_state.states;
+                  sim_valid = valid;
+                  sim_spectrum_states = List.length spectrum;
+                  sim_critical_temperature_k =
+                    Sidb.Temperature.critical_temperature_of_spectrum
+                      ?confidence ?t_max spectrum;
+                  sim_duplicates_dropped =
+                    asm.Bestagon.Assembly.duplicates_dropped;
+                  sim_seconds = elapsed;
+                })
 
 type layout_domain = {
   dom_engine : string;
@@ -951,24 +957,9 @@ let domain_of_layout ?engine ?jobs ?config
                         (List.length d.Sidb.Bdl.far))
                   0 inputs
             in
-            let engine =
-              match engine with
-              | Some e -> e
-              | None -> (
-                  match Sidb.Bdl.configured_engine () with
-                  | Some e -> e
-                  | None ->
-                      if n <= exact_site_limit then Sidb.Bdl.Pruned
-                      else Sidb.Bdl.Quicksim Sidb.Ground_state.default_quicksim)
-            in
-            let exact = Sidb.Bdl.engine_exact engine in
-            if exact && n > exact_site_limit then
-              Error
-                (Printf.sprintf
-                   "engine %s refused: %d sites exceed the %d-site \
-                    exact-engine limit (use --engine quicksim)"
-                   (Sidb.Bdl.engine_name engine) n exact_site_limit)
-            else begin
+            match layout_engine ?engine n with
+            | Error e -> Error e
+            | Ok engine -> (
               let spec a = Logic.Network.eval spec_net a in
               let t0 = Unix.gettimeofday () in
               match
@@ -983,15 +974,14 @@ let domain_of_layout ?engine ?jobs ?config
                   Ok
                     {
                       dom_engine = Sidb.Bdl.engine_name engine;
-                      dom_exact = exact;
+                      dom_exact = Sidb.Bdl.engine_exact engine;
                       dom_sites = n;
                       dom_tiles = ls.Bestagon.Assembly.struct_tile_count;
                       dom_inputs = npis;
                       dom_outputs = npos;
                       dom_domain = domain;
                       dom_seconds = Unix.gettimeofday () -. t0;
-                    }
-            end)
+                    }))
 
 let export_sqd result ?(inputs = []) ~path () =
   match Bestagon.Library.apply ~inputs result.supertiled with

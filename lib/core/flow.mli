@@ -295,12 +295,13 @@ val simulate_layout :
 (** Simulate the complete placed-and-routed design as {e one} charge
     system ({!Bestagon.Assembly}): whole-layout ground state and
     critical temperature — the workload the exact engines cannot touch
-    beyond a few tiles.  [engine] defaults to
-    {!Sidb.Bdl.configured_engine} when set, else auto: exact pruned
-    search up to 40 sites, quicksim above.  An exact engine requested
-    explicitly on a larger system gets a structured [Error] (refusal),
-    never an unbounded search.  [inputs]/[clock_bias] parameterize the
-    assembly; [confidence]/[t_max] the critical-temperature search. *)
+    beyond a few tiles.  Without [engine] (callers pass the user's
+    resolved preference, {!Sidb.Bdl.resolve_engine}) the engine is
+    auto-selected: exact pruned search up to 40 sites, quicksim above.
+    An exact engine requested explicitly on a larger system gets a
+    structured [Error] (refusal), never an unbounded search.
+    [inputs]/[clock_bias] parameterize the assembly;
+    [confidence]/[t_max] the critical-temperature search. *)
 
 (** {2 Whole-layout operational domains} *)
 

@@ -34,6 +34,7 @@ type result = {
   width : int;
   height : int;
   attempts : int;
+  speculative_solves : int;
   rounds : int;
   budget_exhausted : bool;
   certified_refutations : int;
@@ -560,15 +561,23 @@ let place_and_route ?(config = default_config) ?(budget = Sat.Budget.unlimited)
         else None
   in
   let attempts = ref 0 in
+  let speculative = ref 0 in
   let certified = ref 0 in
   let closed_stats = ref Sat.Solver.empty_stats in
   (* Conflicts spent by this call, against [budget.conflicts]. *)
   let spent = ref 0 in
+  (* Pre-wave stats of already-open candidates a parallel wave solved
+     speculatively (past its winner): what the serial path reports. *)
+  let frozen = ref [] in
   let total_stats () =
     List.fold_left
       (fun acc c ->
         match c.state with
-        | Open inst -> Sat.Solver.add_stats acc (engine_stats inst.engine)
+        | Open inst ->
+            Sat.Solver.add_stats acc
+              (match List.assq_opt c !frozen with
+              | Some st -> st
+              | None -> engine_stats inst.engine)
         | Unbuilt | Refuted -> acc)
       !closed_stats candidates
   in
@@ -604,6 +613,7 @@ let place_and_route ?(config = default_config) ?(budget = Sat.Budget.unlimited)
         width = c.w;
         height = c.h;
         attempts = !attempts;
+        speculative_solves = !speculative;
         rounds = round + 1;
         budget_exhausted = not minimal;
         certified_refutations = !certified;
@@ -740,7 +750,10 @@ let place_and_route ?(config = default_config) ?(budget = Sat.Budget.unlimited)
            pool.  Each wave's conflict allowance is fixed before launch
            and results are processed in candidate (area) order after the
            wave completes, so the smallest satisfiable area wins
-           regardless of completion order. *)
+           regardless of completion order.  Only the processed results
+           count as attempts; solves past the wave's winner (or past a
+           deadline) are speculative and reported separately, so the
+           diagnostics match the serial path at any job count. *)
         let actionable =
           List.filter
             (fun c ->
@@ -777,8 +790,8 @@ let place_and_route ?(config = default_config) ?(budget = Sat.Budget.unlimited)
             Array.init wave_n (fun k ->
                 let c = arr.(!wi + k) in
                 match c.state with
-                | Open inst -> (c, inst)
-                | Unbuilt -> (c, build c)
+                | Open inst -> (c, inst, Some (engine_stats inst.engine))
+                | Unbuilt -> (c, build c, None)
                 | Refuted -> assert false)
           in
           let allowance =
@@ -789,7 +802,7 @@ let place_and_route ?(config = default_config) ?(budget = Sat.Budget.unlimited)
           in
           let results =
             Parallel.Pool.map ~jobs wave_n (fun k ->
-                let _, inst = insts.(k) in
+                let _, inst, _ = insts.(k) in
                 let before =
                   (engine_stats inst.engine).Sat.Solver.conflicts
                 in
@@ -803,13 +816,22 @@ let place_and_route ?(config = default_config) ?(budget = Sat.Budget.unlimited)
                 in
                 (verdict, after - before))
           in
-          attempts := !attempts + wave_n;
           Array.iter (fun (_, delta) -> spent := !spent + delta) results;
+          let stop k result =
+            for j = k + 1 to wave_n - 1 do
+              incr speculative;
+              match insts.(j) with
+              | c, _, None -> c.state <- Unbuilt (* built by this wave *)
+              | c, _, Some st -> frozen := (c, st) :: !frozen
+            done;
+            raise (Done (result ()))
+          in
           Array.iteri
             (fun k (verdict, _) ->
-              let c, inst = insts.(k) in
+              let c, inst, _ = insts.(k) in
+              incr attempts;
               match verdict with
-              | Sat.Solver.Sat -> raise (Done (solved c inst !round))
+              | Sat.Solver.Sat -> stop k (fun () -> solved c inst !round)
               | Sat.Solver.Unsat ->
                   certify_refutation c inst;
                   closed_stats :=
@@ -819,7 +841,7 @@ let place_and_route ?(config = default_config) ?(budget = Sat.Budget.unlimited)
               | Sat.Solver.Unknown Sat.Budget.Conflicts -> unresolved := true
               | Sat.Solver.Unknown (Sat.Budget.Deadline as r)
               | Sat.Solver.Unknown (Sat.Budget.Cancelled as r) ->
-                  raise (Done (out_of_budget r !round)))
+                  stop k (fun () -> out_of_budget r !round))
             results;
           wi := !wi + wave_n
         done

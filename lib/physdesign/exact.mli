@@ -83,7 +83,13 @@ type result = {
   layout : Layout.Gate_layout.t;
   width : int;
   height : int;
-  attempts : int;  (** Number of candidate solve calls. *)
+  attempts : int;
+      (** Candidate solve calls, in area order up to and including the
+          winner — the same count at any [jobs]. *)
+  speculative_solves : int;
+      (** Parallel-wave solves of larger candidates past the winner,
+          whose results were discarded; always 0 at [jobs = 1].  Not
+          counted in [attempts] or [stats]. *)
   rounds : int;  (** Escalation rounds used. *)
   budget_exhausted : bool;
       (** Some smaller-area candidate was still unresolved when this

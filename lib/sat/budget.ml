@@ -4,12 +4,20 @@ type t = {
   deadline : float option;
   conflicts : int option;
   cancelled : unit -> bool;
+  clock : unit -> float;
 }
 
 let never () = false
-let unlimited = { deadline = None; conflicts = None; cancelled = never }
 
-let of_seconds ?conflicts ?(cancelled = never) s =
+let unlimited =
+  {
+    deadline = None;
+    conflicts = None;
+    cancelled = never;
+    clock = Unix.gettimeofday;
+  }
+
+let of_seconds ?conflicts ?(cancelled = never) ?(clock = Unix.gettimeofday) s =
   (* The server derives child budgets arithmetically (shares, backoff
      subtractions); a NaN or negative duration would silently become a
      deadline that never trips — i.e. a hung request. *)
@@ -19,23 +27,20 @@ let of_seconds ?conflicts ?(cancelled = never) s =
          "Sat.Budget.of_seconds: duration must be finite and non-negative \
           (got %g)"
          s);
-  { deadline = Some (Unix.gettimeofday () +. s); conflicts; cancelled }
+  { deadline = Some (clock () +. s); conflicts; cancelled; clock }
 
 let of_conflicts n = { unlimited with conflicts = Some n }
 let with_conflicts conflicts b = { b with conflicts }
 let without_deadline b = { b with deadline = None }
 let is_unlimited b = b.deadline = None && b.conflicts = None
 
-let remaining_s b =
-  Option.map (fun d -> d -. Unix.gettimeofday ()) b.deadline
+let remaining_s b = Option.map (fun d -> d -. b.clock ()) b.deadline
 
 let remaining b =
-  Option.map (fun d -> Float.max 0. (d -. Unix.gettimeofday ())) b.deadline
+  Option.map (fun d -> Float.max 0. (d -. b.clock ())) b.deadline
 
 let expired b =
-  match b.deadline with
-  | None -> false
-  | Some d -> Unix.gettimeofday () > d
+  match b.deadline with None -> false | Some d -> b.clock () > d
 
 let check b =
   if b.cancelled () then Some Cancelled
@@ -48,7 +53,7 @@ let fraction f b =
     deadline =
       Option.map
         (fun d ->
-          let now = Unix.gettimeofday () in
+          let now = b.clock () in
           now +. (f *. max 0. (d -. now)))
         b.deadline;
     conflicts =

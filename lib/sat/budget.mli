@@ -1,7 +1,7 @@
 (** Unified resource budgets for long-running solves.
 
     A budget bounds a computation three ways at once: a wall-clock
-    {e deadline} (absolute, in [Unix.gettimeofday] seconds), a
+    {e deadline} (absolute, on the budget's [clock]), a
     {e conflict} allowance (CDCL conflicts per [solve] call), and an
     external {e cancellation} flag (polled cooperatively).  The flow
     threads a single budget through every expensive step; {!Solver.solve}
@@ -17,17 +17,26 @@ type reason =
   | Cancelled  (** The external cancellation flag was raised. *)
 
 type t = {
-  deadline : float option;
-      (** Absolute wall-clock instant ([Unix.gettimeofday] scale). *)
+  deadline : float option;  (** Absolute instant on [clock]'s scale. *)
   conflicts : int option;  (** Conflict allowance per [solve] call. *)
   cancelled : unit -> bool;  (** Cooperative cancellation flag. *)
+  clock : unit -> float;
+      (** The time source every deadline check reads ([Unix.gettimeofday]
+          unless injected — tests drive deadline behaviour from a
+          deterministic step clock instead of the host's speed). *)
 }
 
 val unlimited : t
 (** No deadline, no conflict bound, never cancelled. *)
 
-val of_seconds : ?conflicts:int -> ?cancelled:(unit -> bool) -> float -> t
-(** [of_seconds s] expires [s] seconds from now.
+val of_seconds :
+  ?conflicts:int ->
+  ?cancelled:(unit -> bool) ->
+  ?clock:(unit -> float) ->
+  float ->
+  t
+(** [of_seconds s] expires [s] seconds from now on [clock] (default
+    [Unix.gettimeofday]).
     @raise Invalid_argument when [s] is NaN, infinite, or negative —
     callers deriving budgets arithmetically (the design server computes
     per-request shares and backoff remainders) would otherwise plant a

@@ -149,11 +149,7 @@ let solve ?(budget = Budget.unlimited) t =
                       Atomic.get winner_cell < i || budget.Budget.cancelled ()
                     in
                     let b =
-                      {
-                        Budget.deadline = budget.Budget.deadline;
-                        conflicts = Some slice;
-                        cancelled;
-                      }
+                      { budget with Budget.conflicts = Some slice; cancelled }
                     in
                     let r = Solver.solve ~budget:b t.members.(i) in
                     (match r with

@@ -153,9 +153,10 @@ type t = {
   mutable lvl_stamp : int array;
   mutable stamp : int;
   (* Active limits for the current [solve] call: absolute conflict
-     threshold, wall-clock deadline, cancellation flag. *)
+     threshold, deadline on the budget's clock, cancellation flag. *)
   mutable limit_conflicts : int option;
   mutable deadline : float option;
+  mutable clock : unit -> float;
   mutable cancelled : unit -> bool;
   (* Statistics. *)
   mutable conflicts : int;
@@ -215,6 +216,7 @@ let create ?config () =
     stamp = 0;
     limit_conflicts = None;
     deadline = None;
+    clock = Unix.gettimeofday;
     cancelled = (fun () -> false);
     conflicts = 0;
     decisions = 0;
@@ -929,7 +931,7 @@ let interrupt_reason s =
   if s.cancelled () then Some Budget.Cancelled
   else
     match s.deadline with
-    | Some d when Unix.gettimeofday () > d -> Some Budget.Deadline
+    | Some d when s.clock () > d -> Some Budget.Deadline
     | Some _ | None -> None
 
 let check_interrupt s counter =
@@ -1019,6 +1021,7 @@ let solve ?(assumptions = []) ?(budget = Budget.unlimited) s =
     s.limit_conflicts <-
       Option.map (fun n -> s.conflicts + n) budget.Budget.conflicts;
     s.deadline <- budget.Budget.deadline;
+    s.clock <- budget.Budget.clock;
     s.cancelled <- budget.Budget.cancelled;
     let result = ref None in
     let round = ref 0 in
@@ -1051,6 +1054,7 @@ let solve ?(assumptions = []) ?(budget = Budget.unlimited) s =
     cancel_until s 0;
     s.limit_conflicts <- None;
     s.deadline <- None;
+    s.clock <- Unix.gettimeofday;
     s.cancelled <- (fun () -> false);
     s.solve_time <- s.solve_time +. (Unix.gettimeofday () -. t0);
     match !result with Some r -> r | None -> assert false

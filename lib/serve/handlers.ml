@@ -6,6 +6,7 @@ type ctx = {
   backoff_base_ms : float;
   backoff_cap_ms : float;
   sleep : float -> unit;
+  sim_engine : Sidb.Bdl.engine option;
 }
 
 let default_ctx () =
@@ -17,6 +18,9 @@ let default_ctx () =
     backoff_base_ms = 10.;
     backoff_cap_ms = 200.;
     sleep = Unix.sleepf;
+    sim_engine =
+      Sidb.Bdl.resolve_engine ~flag:None
+        ~env:(Sys.getenv_opt Sidb.Bdl.engine_env_var);
   }
 
 exception Injected_fault of string
@@ -249,7 +253,10 @@ let yield_attempt ctx (p : Protocol.yield_params) rung budget =
           seed = p.Protocol.seed;
         }
       in
-      let y = Bestagon.Yield.of_layout ~params r.Core.Flow.gate_layout in
+      let y =
+        Bestagon.Yield.of_layout ?engine:ctx.sim_engine ~params
+          r.Core.Flow.gate_layout
+      in
       let payload =
         Json.Obj
           [
@@ -301,16 +308,20 @@ let gate_names = List.map fst gate_tiles
 
 (* Protocol engine names map onto the simulation stack here, so the
    protocol module stays independent of it.  An omitted engine means the
-   server's process-wide default ({!Sidb.Bdl.default_engine}: exact
-   pruned search unless overridden by CLI flag or environment). *)
-let sim_engine_of_protocol = function
-  | None -> Sidb.Bdl.default_engine ()
-  | Some Protocol.Sim_exhaustive -> Sidb.Bdl.Exhaustive
-  | Some Protocol.Sim_pruned -> Sidb.Bdl.Pruned
+   server's own preference ([ctx.sim_engine], resolved from the
+   environment when the context was created), if any. *)
+let sim_engine_of_protocol ctx = function
+  | None -> ctx.sim_engine
+  | Some Protocol.Sim_exhaustive -> Some Sidb.Bdl.Exhaustive
+  | Some Protocol.Sim_pruned -> Some Sidb.Bdl.Pruned
   | Some Protocol.Sim_quicksim ->
-      Sidb.Bdl.Quicksim Sidb.Ground_state.default_quicksim
+      Some (Sidb.Bdl.Quicksim Sidb.Ground_state.default_quicksim)
 
-let simulate ~gate ~engine ~chaos =
+(* Gate-sized systems default to the exact engine. *)
+let gate_engine ctx engine =
+  Option.value (sim_engine_of_protocol ctx engine) ~default:Sidb.Bdl.Pruned
+
+let simulate ctx ~gate ~engine ~chaos =
   maybe_die chaos;
   match List.assoc_opt (String.lowercase_ascii gate) gate_tiles with
   | None ->
@@ -325,7 +336,7 @@ let simulate ~gate ~engine ~chaos =
           match Bestagon.Library.tile_spec tile with
           | None -> Error ("infeasible", "no specification for " ^ gate)
           | Some spec ->
-              let engine = sim_engine_of_protocol engine in
+              let engine = gate_engine ctx engine in
               let report = Sidb.Bdl.check ~engine s ~spec in
               Ok
                 (Json.Obj
@@ -385,7 +396,7 @@ let domain_payload ?extra (dom : Sidb.Operational_domain.t) =
         );
       ])
 
-let domain_gate ~gate (p : Protocol.domain_params) =
+let domain_gate ctx ~gate (p : Protocol.domain_params) =
   maybe_die p.Protocol.d_chaos;
   match List.assoc_opt (String.lowercase_ascii gate) gate_tiles with
   | None ->
@@ -398,7 +409,7 @@ let domain_gate ~gate (p : Protocol.domain_params) =
         (Bestagon.Library.validation_structure tile, Bestagon.Library.tile_spec tile)
       with
       | Some s, Some spec -> (
-          let engine = sim_engine_of_protocol p.Protocol.d_engine in
+          let engine = gate_engine ctx p.Protocol.d_engine in
           let x_axis, y_axis = domain_axes p in
           match
             Sidb.Operational_domain.sweep ~engine ~config:(domain_config p)
@@ -429,11 +440,7 @@ let domain_attempt ctx (p : Protocol.domain_params) source rung budget =
   match run_flow ctx ~options ~paranoid:false ~budget source with
   | Error f -> Error (Flow_failure f)
   | Ok r -> (
-      let engine =
-        Option.map
-          (fun e -> sim_engine_of_protocol (Some e))
-          p.Protocol.d_engine
-      in
+      let engine = sim_engine_of_protocol ctx p.Protocol.d_engine in
       let x_axis, y_axis = domain_axes p in
       match
         Core.Flow.domain_of_layout ?engine ~config:(domain_config p) ~x_axis
@@ -500,7 +507,7 @@ let dispatch ctx ~id job =
            ~rungs:[ Rung_fallback; Rung_scalable ]
            ~attempt:(yield_attempt ctx p))
   | Protocol.Simulate { gate; sim_engine; sim_chaos } -> (
-      match simulate ~gate ~engine:sim_engine ~chaos:sim_chaos with
+      match simulate ctx ~gate ~engine:sim_engine ~chaos:sim_chaos with
       | Ok payload -> fun ~latency_ms -> Protocol.ok_response ~id ~kind ~latency_ms payload
       | Error (error_kind, message) ->
           fun ~latency_ms ->
@@ -508,7 +515,7 @@ let dispatch ctx ~id job =
   | Protocol.Domain ({ Protocol.d_target = Protocol.Dom_gate gate; _ } as p)
     -> (
       match
-        match domain_gate ~gate p with
+        match domain_gate ctx ~gate p with
         | r -> r
         | exception Invalid_argument m -> Error ("infeasible", m)
       with

@@ -37,11 +37,17 @@ type ctx = {
   sleep : float -> unit;
       (** Backoff hook (seconds); injectable so tests and the bench can
           observe or skip real sleeping. *)
+  sim_engine : Sidb.Bdl.engine option;
+      (** Ground-state engine for simulate, domain and yield jobs whose
+          request names none; [None] means exact [Pruned] for gates and
+          the size-based auto-select of {!Core.Flow.domain_of_layout}
+          for whole layouts. *)
 }
 
 val default_ctx : unit -> ctx
 (** Fresh memo and metrics; 60 s ceiling, 2 retries, 10 ms base / 200 ms
-    cap backoff, [Unix.sleepf]. *)
+    cap backoff, [Unix.sleepf]; [sim_engine] resolved once from
+    FICTIONETTE_SIM_ENGINE ({!Sidb.Bdl.resolve_engine}). *)
 
 val run_job : ctx -> id:Json.t -> Protocol.job -> Json.t
 (** Execute one job to a complete response object (latency measured and

@@ -38,26 +38,19 @@ let read_pair sites occ p =
 
 type engine =
   | Exhaustive
-  | Branch_and_bound
   | Pruned
   | Quicksim of Ground_state.quicksim_config
-  | Anneal of Simanneal.params
 
 let engine_name = function
   | Exhaustive -> "exhaustive"
-  | Branch_and_bound -> "branch-and-bound"
   | Pruned -> "pruned"
   | Quicksim _ -> "quicksim"
-  | Anneal _ -> "anneal"
 
-let engine_exact = function
-  | Exhaustive | Branch_and_bound | Pruned -> true
-  | Quicksim _ | Anneal _ -> false
+let engine_exact = function Exhaustive | Pruned -> true | Quicksim _ -> false
 
 let engine_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "exhaustive" | "exgs" -> Ok Exhaustive
-  | "bb" | "branch-and-bound" | "branch_and_bound" -> Ok Branch_and_bound
   | "pruned" | "quickexact" -> Ok Pruned
   | "quicksim" -> Ok (Quicksim Ground_state.default_quicksim)
   | other ->
@@ -67,24 +60,13 @@ let engine_of_string s =
             quicksim)"
            other)
 
-(* Process-wide default simulation engine: the [--engine] CLI flag (via
-   {!set_default_engine}) wins over the FICTIONETTE_SIM_ENGINE
-   environment variable; with neither, exact [Pruned] — heuristics must
-   be opted into where exact engines are feasible. *)
-let engine_override = ref None
+let engine_env_var = "FICTIONETTE_SIM_ENGINE"
 
-let set_default_engine e = engine_override := Some e
-
-let env_engine () =
-  match Sys.getenv_opt "FICTIONETTE_SIM_ENGINE" with
-  | None -> None
-  | Some s -> ( match engine_of_string s with Ok e -> Some e | Error _ -> None)
-
-let configured_engine () =
-  match !engine_override with Some e -> Some e | None -> env_engine ()
-
-let default_engine () =
-  match configured_engine () with Some e -> e | None -> Pruned
+let resolve_engine ~flag ~env =
+  match flag with
+  | Some e -> Some e
+  | None ->
+      Option.bind env (fun s -> Result.to_option (engine_of_string s))
 
 type row_result = {
   assignment : bool array;
@@ -99,12 +81,10 @@ type report = { structure : structure; rows : row_result list; functional : bool
 let solve engine sys =
   match engine with
   | Exhaustive -> Ground_state.exhaustive sys
-  | Branch_and_bound -> Ground_state.branch_and_bound sys
   | Pruned -> Ground_state.pruned sys
   | Quicksim config -> Ground_state.quicksim ~config sys
-  | Anneal params -> Simanneal.run ~params sys
 
-let check ?(engine = Branch_and_bound) ?(model = Model.default) ?v_ext_at s
+let check ?(engine = Pruned) ?(model = Model.default) ?v_ext_at s
     ~spec =
   let arity = Array.length s.inputs in
   let rows = ref [] in

@@ -37,40 +37,36 @@ val read_pair :
     otherwise. *)
 
 type engine =
-  | Exhaustive  (** ExGS; up to 24 SiDBs. *)
-  | Branch_and_bound  (** Admissible-bound search; default for {!check}. *)
+  | Exhaustive  (** ExGS; up to 24 SiDBs.  The test oracle. *)
   | Pruned
-      (** {!Ground_state.pruned}: branch and bound plus population-stability
-          subtree pruning; same results, fastest on gate-sized systems. *)
+      (** {!Ground_state.pruned}: QuickExact-style branch and bound with
+          population-stability pruning; the exact engine, and the
+          default everywhere an exact engine is feasible. *)
   | Quicksim of Ground_state.quicksim_config
       (** {!Ground_state.quicksim}: sampled population-dynamics heuristic.
           Not exact — energies are upper bounds — but deterministic and
           the only engine that scales to whole multi-gate layouts. *)
-  | Anneal of Simanneal.params
 
 val engine_name : engine -> string
 val engine_exact : engine -> bool
 (** Whether the engine guarantees the exact ground state. *)
 
 val engine_of_string : string -> (engine, string) result
-(** Parses [exhaustive]/[pruned]/[quicksim] (plus aliases [exgs],
-    [quickexact], [bb]); [quicksim] gets {!Ground_state.default_quicksim}. *)
+(** Parses [exhaustive]/[pruned]/[quicksim] (plus aliases [exgs] and
+    [quickexact]); [quicksim] gets {!Ground_state.default_quicksim}.
+    Anything else, including the retired [bb] alias, is an [Error]. *)
 
-val set_default_engine : engine -> unit
-(** Process-wide default (e.g. from a [--engine] CLI flag); takes
-    precedence over the environment. *)
+val engine_env_var : string
+(** ["FICTIONETTE_SIM_ENGINE"]: the environment variable naming the
+    user's simulation engine. *)
 
-val env_engine : unit -> engine option
-(** The FICTIONETTE_SIM_ENGINE environment variable, when set to a value
-    {!engine_of_string} accepts. *)
-
-val configured_engine : unit -> engine option
-(** {!set_default_engine}'s value if any, else {!env_engine} — [None]
-    when the user expressed no preference anywhere. *)
-
-val default_engine : unit -> engine
-(** {!configured_engine}, falling back to exact [Pruned]: heuristics
-    must be opted into wherever exact engines are feasible. *)
+val resolve_engine : flag:engine option -> env:string option -> engine option
+(** The user's simulation-engine preference, resolved once per command
+    or server: an explicit [flag] (a parsed [--engine]) wins over [env]
+    (the raw {!engine_env_var} value, ignored unless
+    {!engine_of_string} accepts it).  [None] when neither expresses a
+    preference; the caller then applies its own default (exact [Pruned]
+    for gate-sized systems, or [Core.Flow]'s size-based auto-select). *)
 
 val solve : engine -> Charge_system.t -> Ground_state.result
 (** Run one ground-state computation with the given engine. *)
@@ -96,7 +92,8 @@ val check :
     specification (e.g. [fun i -> [| i.(0) <> i.(1) |]] for XOR);
     functional iff every row is [ok].  [v_ext_at] adds a local external
     potential (eV) per site — e.g. from fixed charged defects
-    ({!Defects}) or clocking electrodes. *)
+    ({!Defects}) or clocking electrodes.  [engine] defaults to exact
+    [Pruned]. *)
 
 val operational : report -> bool
 

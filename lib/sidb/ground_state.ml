@@ -45,92 +45,10 @@ let exhaustive ?(max_states = 64) sys =
     { energy = !best_energy; states = List.rev !best_states }
   end
 
-let branch_and_bound ?(max_states = 64) sys =
-  let n = Charge_system.size sys in
-  if n = 0 then { energy = 0.; states = [ [||] ] }
-  else begin
-    let mu = (Charge_system.model sys).Model.mu_minus in
-    (* Explore sites in decreasing total-interaction order: strongly
-       coupled sites first make the bound effective early. *)
-    let weight i =
-      let acc = ref 0. in
-      for j = 0 to n - 1 do
-        if j <> i then acc := !acc +. Charge_system.interaction sys i j
-      done;
-      !acc
-    in
-    let order =
-      List.sort
-        (fun a b -> compare (weight b) (weight a))
-        (List.init n (fun i -> i))
-      |> Array.of_list
-    in
-    let occ = Array.make n false in
-    let best_energy = ref 0. and best_states = ref [ Array.copy occ ] in
-    (* v.(i): potential at site i from currently assigned charges. *)
-    let v = Array.make n 0. in
-    let rec explore depth current =
-      if depth = n then begin
-        if current < !best_energy -. epsilon then begin
-          best_energy := current;
-          best_states := [ Array.copy occ ]
-        end
-        else if
-          Float.abs (current -. !best_energy) <= epsilon
-          && List.length !best_states < max_states
-        then best_states := Array.copy occ :: !best_states
-      end
-      else begin
-        (* Admissible lower bound on the remaining energy: every
-           still-unassigned site can contribute at least
-           min(0, mu + v_i) (interactions among future charges are
-           non-negative). *)
-        let bound = ref 0. in
-        for d = depth to n - 1 do
-          let i = order.(d) in
-          let c = mu +. v.(i) in
-          if c < 0. then bound := !bound +. c
-        done;
-        if current +. !bound < !best_energy +. epsilon then begin
-          let i = order.(depth) in
-          let try_occupied () =
-            let delta = mu +. v.(i) in
-            occ.(i) <- true;
-            for j = 0 to n - 1 do
-              if j <> i then
-                v.(j) <- v.(j) +. Charge_system.interaction sys i j
-            done;
-            explore (depth + 1) (current +. delta);
-            for j = 0 to n - 1 do
-              if j <> i then
-                v.(j) <- v.(j) -. Charge_system.interaction sys i j
-            done;
-            occ.(i) <- false
-          in
-          let try_empty () = explore (depth + 1) current in
-          (* Branch on the more promising value first. *)
-          if mu +. v.(i) < 0. then begin
-            try_occupied ();
-            try_empty ()
-          end
-          else begin
-            try_empty ();
-            try_occupied ()
-          end
-        end
-      end
-    in
-    (* Initialize v with the external potential. *)
-    let zero_occ = Array.make n false in
-    for i = 0 to n - 1 do
-      v.(i) <- Charge_system.local_potential sys zero_occ i
-    done;
-    explore 0 0.;
-    { energy = !best_energy; states = List.rev !best_states }
-  end
-
-(* QuickExact-style pruned search: branch and bound extended with
-   population-stability subtree pruning.
+(* QuickExact-style pruned search: depth-first branch and bound over
+   the sites in decreasing total-interaction order (strongly coupled
+   sites first make the bound effective early), with an admissible
+   energy bound and population-stability subtree pruning.
 
    Interactions are repulsive, so along any completion of a partial
    assignment the potential v_i at a site only grows.  Two sound prune
@@ -190,7 +108,10 @@ let pruned ?(max_states = 64) sys =
     let rec explore depth current =
       if depth = n then record current
       else begin
-        (* The same admissible energy bound as [branch_and_bound]. *)
+        (* Admissible lower bound on the remaining energy: every
+           still-unassigned site can contribute at least
+           min(0, mu + v_i) (interactions among future charges are
+           non-negative). *)
         let bound = ref 0. in
         for d = depth to n - 1 do
           let k = order.(d) in
@@ -380,10 +301,13 @@ let quicksim_sample sys config k =
     let p = !pot in
     let best = ref (-.epsilon) and bsrc = ref (-1) and bdst = ref (-1) in
     for i = 0 to n - 1 do
-      if occ.(i) then
+      if occ.(i) then begin
+        (* [Charge_system.energy_delta_hop] with the source row and
+           potential hoisted out of the destination scan. *)
+        let row = Charge_system.interaction_row sys i and pi = p.(i) in
         for j = 0 to n - 1 do
           if not occ.(j) then begin
-            let d = Charge_system.energy_delta_hop sys ~pot:p ~src:i ~dst:j in
+            let d = p.(j) -. pi -. row.(j) in
             if d < !best then begin
               best := d;
               bsrc := i;
@@ -391,6 +315,7 @@ let quicksim_sample sys config k =
             end
           end
         done
+      end
     done;
     if !bsrc < 0 then false
     else begin
@@ -467,7 +392,8 @@ let quicksim_spectrum ?(config = default_quicksim) ?jobs sys =
     pool;
   List.stable_sort (fun (_, e1) (_, e2) -> compare e1 e2) (List.rev !dedup)
 
-(* Low-energy spectrum: like [branch_and_bound], but keeping every
+(* Low-energy spectrum: the branch and bound of [pruned] without the
+   stability pruning (excited states need not be stable), keeping every
    configuration within [window] of the running optimum. *)
 let spectrum ?(max_states = 4096) ~window sys =
   let n = Charge_system.size sys in

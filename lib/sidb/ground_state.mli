@@ -1,9 +1,10 @@
 (** Exact ground-state engines.
 
     {!exhaustive} is the ExGS-style full enumeration (feasible to ~24
-    SiDBs thanks to Gray-code incremental energy updates);
-    {!branch_and_bound} is a QuickExact-style pruned search usable to
-    ~40 SiDBs on typical gate structures. *)
+    SiDBs thanks to Gray-code incremental energy updates) and serves as
+    the test oracle; {!pruned} is the QuickExact-style search usable to
+    ~40 SiDBs on typical gate structures; {!quicksim} is the heuristic
+    for whole layouts. *)
 
 type result = {
   energy : float;
@@ -15,19 +16,17 @@ type result = {
 val exhaustive : ?max_states:int -> Charge_system.t -> result
 (** @raise Invalid_argument beyond 24 sites. *)
 
-val branch_and_bound : ?max_states:int -> Charge_system.t -> result
-(** Exact via depth-first search with an admissible lower bound; sites
-    are explored in decreasing connectivity order. *)
-
 val pruned : ?max_states:int -> Charge_system.t -> result
-(** {!branch_and_bound} extended with QuickExact-style population-stability
-    pruning: subtrees in which some assigned site can no longer reach
-    [mu_minus + v_i <= 0] (occupied) or [mu_minus + v_i >= 0] (empty) in
-    {e any} completion are skipped.  Interactions are repulsive, so both
+(** Exact via depth-first branch and bound with an admissible lower
+    bound (sites explored in decreasing connectivity order), extended
+    with QuickExact-style population-stability pruning: subtrees in
+    which some assigned site can no longer reach [mu_minus + v_i <= 0]
+    (occupied) or [mu_minus + v_i >= 0] (empty) in {e any} completion
+    are skipped.  Interactions are repulsive, so both
     bounds are sound; every state within [epsilon] of the optimum is
     population-stable to within [epsilon], hence the returned energy and
-    state set equal {!exhaustive}'s.  The default engine for
-    operational-domain sweeps and defect-yield Monte Carlo. *)
+    state set equal {!exhaustive}'s.  The default engine for gate
+    checks, operational-domain sweeps and defect-yield Monte Carlo. *)
 
 val degeneracy : result -> int
 

@@ -9,35 +9,9 @@ type axis = {
 
 type algorithm = Grid | Flood_fill | Contour_tracing
 
-type config = {
-  algorithm : algorithm;
-  samples : int;
-  seed : int;
-  shared_geometry : bool;
-  adaptive_rows : bool;
-}
+type config = { algorithm : algorithm; samples : int; seed : int }
 
-let default_config =
-  {
-    algorithm = Grid;
-    samples = 100;
-    seed = 0x5eed;
-    shared_geometry = true;
-    adaptive_rows = true;
-  }
-
-let baseline_config =
-  (* The pre-overhaul engine, preserved verbatim: exhaustive grid
-     classification through the per-point [operational_at] path — no
-     hoisted geometry, no cross-point row ordering.  The benchmark
-     harness measures every other configuration against this one. *)
-  {
-    algorithm = Grid;
-    samples = 100;
-    seed = 0x5eed;
-    shared_geometry = false;
-    adaptive_rows = false;
-  }
+let default_config = { algorithm = Grid; samples = 100; seed = 0x5eed }
 
 let algorithm_name = function
   | Grid -> "grid"
@@ -101,7 +75,6 @@ let solve_of_engine engine =
   match engine with
   | Bdl.Pruned -> Ground_state.pruned ~max_states:8
   | Bdl.Exhaustive -> Ground_state.exhaustive ~max_states:8
-  | Bdl.Branch_and_bound -> Ground_state.branch_and_bound ~max_states:8
   | e -> Bdl.solve e
 
 (* Truth-table rows are visited starting at [first_row] (the adaptive
@@ -123,65 +96,6 @@ let row_ok ~solve ~outputs ~sites ~expected sys =
          Array.length obs = Array.length expected
          && Array.for_all2 (fun o e -> o = Some e) obs expected)
        states
-
-(* Classify one grid point from scratch — the pre-overhaul path,
-   preserved verbatim modulo the row rotation (identity at
-   [first_row = 0]).  Truth-table rows differ only in which perturbers
-   are selected, so with [interaction_cache] (the default) the
-   screened-Coulomb interaction matrix is evaluated once over the union
-   of all the structure's sites and every row's subsystem is cut out of
-   it ({!Charge_system.sub}) — bit-identical entries, 2^arity fewer
-   matrix builds per grid point.  Returns the verdict and the first
-   failing row (the adaptive hint). *)
-let classify_fresh ~interaction_cache ~solve ~first_row model structure ~spec =
-  let arity = Array.length structure.Bdl.inputs in
-  let row_system =
-    if not interaction_cache then fun sites -> Charge_system.create model sites
-    else begin
-      (* Union of fixed sites and every perturber, deduplicated (near
-         and far sets of different inputs may legitimately collide —
-         only one of each pair is active per row). *)
-      let index = Hashtbl.create 64 in
-      let rev_sites = ref [] in
-      let count = ref 0 in
-      let add site =
-        if not (Hashtbl.mem index site) then begin
-          Hashtbl.add index site !count;
-          rev_sites := site :: !rev_sites;
-          incr count
-        end
-      in
-      List.iter add structure.Bdl.fixed;
-      Array.iter
-        (fun (d : Bdl.input_driver) ->
-          List.iter add d.Bdl.near;
-          List.iter add d.Bdl.far)
-        structure.Bdl.inputs;
-      let full =
-        Charge_system.create model (Array.of_list (List.rev !rev_sites))
-      in
-      fun sites -> Charge_system.sub full (Array.map (Hashtbl.find index) sites)
-    end
-  in
-  let nrows = 1 lsl arity in
-  let failing = ref (-1) in
-  (try
-     for k = 0 to nrows - 1 do
-       let row = row_order first_row k in
-       let assignment = Array.init arity (fun i -> (row lsr i) land 1 = 1) in
-       let expected = spec assignment in
-       let sites = Bdl.sites_for structure assignment in
-       let sys = row_system sites in
-       if
-         not
-           (row_ok ~solve ~outputs:structure.Bdl.outputs ~sites ~expected sys)
-       then begin
-         failing := row;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  (!failing < 0, !failing)
 
 (* Everything about a sweep that does not depend on the swept model
    parameters, computed once per sweep instead of once per grid point:
@@ -256,17 +170,17 @@ let classify_shared geometry ~solve ~outputs ~first_row model =
    with Exit -> ());
   (!failing < 0, !failing)
 
-let operational_at ?(interaction_cache = true) ?engine ?(first_row = 0) model
-    structure ~spec =
-  let engine =
-    match engine with Some e -> e | None -> Bdl.default_engine ()
-  in
-  let solve = solve_of_engine engine in
+let operational_at ?(engine = Bdl.Pruned) ?(first_row = 0) model structure
+    ~spec =
   let nrows = 1 lsl Array.length structure.Bdl.inputs in
   let first_row =
     if first_row < 0 || first_row >= nrows then 0 else first_row
   in
-  fst (classify_fresh ~interaction_cache ~solve ~first_row model structure ~spec)
+  fst
+    (classify_shared
+       (build_geometry structure ~spec)
+       ~solve:(solve_of_engine engine) ~outputs:structure.Bdl.outputs
+       ~first_row model)
 
 (* ------------------------------------------------------------------ *)
 (* Sweep algorithms.                                                   *)
@@ -313,10 +227,12 @@ let seed_indices ~seed ~count ~total =
   done;
   List.sort compare !order
 
-(* Shared per-sweep classification context: engine dispatch, optional
-   hoisted geometry, and the adaptive row hint.  The hint is a benign
-   race under the pool — it only chooses which row a point tries first,
-   never the verdict — so results stay bit-identical at any job
+(* Shared per-sweep classification context: engine dispatch, the
+   hoisted geometry, and the adaptive row hint — the most recently
+   failing truth-table row is tried first at each point, so
+   non-operational points short-circuit after ~1 solve.  The hint is a
+   benign race under the pool — it only chooses which row a point tries
+   first, never the verdict — so results stay bit-identical at any job
    count. *)
 type sweep_ctx = {
   classify : int -> bool;
@@ -326,42 +242,24 @@ type sweep_ctx = {
   jobs : int option;
 }
 
-let make_ctx ?base ?jobs ?engine ~config ~x_axis ~y_axis structure ~spec () =
-  let base = match base with Some b -> b | None -> Model.default in
-  let engine =
-    match engine with Some e -> e | None -> Bdl.default_engine ()
-  in
+let make_ctx ?(base = Model.default) ?jobs ?(engine = Bdl.Pruned) ~x_axis
+    ~y_axis structure ~spec () =
   let solve = solve_of_engine engine in
-  let geometry =
-    if config.shared_geometry then Some (build_geometry structure ~spec)
-    else None
-  in
-  let nrows = 1 lsl Array.length structure.Bdl.inputs in
+  let geometry = build_geometry structure ~spec in
   let hint = Atomic.make 0 in
   let nx = x_axis.steps and ny = y_axis.steps in
   let classify k =
     let yi = k / nx and xi = k mod nx in
-    let x_value = axis_value x_axis xi and y_value = axis_value y_axis yi in
     let model =
       set_parameter
-        (set_parameter base x_axis.parameter x_value)
-        y_axis.parameter y_value
-    in
-    let first_row =
-      if not config.adaptive_rows then 0
-      else
-        let h = Atomic.get hint in
-        if h < 0 || h >= nrows then 0 else h
+        (set_parameter base x_axis.parameter (axis_value x_axis xi))
+        y_axis.parameter (axis_value y_axis yi)
     in
     let ok, failing =
-      match geometry with
-      | Some geo ->
-          classify_shared geo ~solve ~outputs:structure.Bdl.outputs ~first_row
-            model
-      | None -> classify_fresh ~interaction_cache:true ~solve ~first_row model
-                  structure ~spec
+      classify_shared geometry ~solve ~outputs:structure.Bdl.outputs
+        ~first_row:(Atomic.get hint) model
     in
-    if config.adaptive_rows && failing >= 0 then Atomic.set hint failing;
+    if failing >= 0 then Atomic.set hint failing;
     ok
   in
   { classify; nx; ny; total = nx * ny; jobs }
@@ -428,10 +326,9 @@ let neighbors8 ctx k =
   done;
   !acc
 
-let sweep_grid ~config ctx =
+let sweep_grid ctx =
   let res = Parallel.Pool.map ?jobs:ctx.jobs ctx.total ctx.classify in
   let state = Array.init ctx.total (fun k -> if res.(k) then 1 else 0) in
-  ignore config;
   (state, ctx.total, 0)
 
 (* Random probes seed a breadth-first growth over 8-connected
@@ -585,13 +482,11 @@ let sweep ?base ?jobs ?engine ?(config = default_config) ~x_axis ~y_axis
     invalid_arg "Operational_domain.sweep: axes need at least 2 steps";
   if x_axis.parameter = y_axis.parameter then
     invalid_arg "Operational_domain.sweep: axes must differ";
-  let ctx =
-    make_ctx ?base ?jobs ?engine ~config ~x_axis ~y_axis structure ~spec ()
-  in
+  let ctx = make_ctx ?base ?jobs ?engine ~x_axis ~y_axis structure ~spec () in
   let arity = Array.length structure.Bdl.inputs in
   match config.algorithm with
   | Grid ->
-      let state, points_evaluated, seed_probes = sweep_grid ~config ctx in
+      let state, points_evaluated, seed_probes = sweep_grid ctx in
       finish ~x_axis ~y_axis ~config ~arity ctx ~state
         ~operational:(fun k -> state.(k) = 1)
         ~seed_probes ~points_evaluated

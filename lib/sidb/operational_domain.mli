@@ -36,27 +36,10 @@ type config = {
   algorithm : algorithm;
   samples : int;  (** Random probes seeding Flood_fill / Contour_tracing. *)
   seed : int;  (** splitmix64 stream for the probes — fully deterministic. *)
-  shared_geometry : bool;
-      (** Hoist the site-union index and distance matrix to per-sweep
-          scope; only the screened-Coulomb kernel is re-applied per
-          point.  Bit-identical results, one geometry build instead of
-          [nx * ny]. *)
-  adaptive_rows : bool;
-      (** Try the most recently failing truth-table row first at each
-          point so non-operational points short-circuit after ~1 solve.
-          The verdict is order-invariant, so results are unchanged (and
-          still bit-identical at any job count). *)
 }
 
 val default_config : config
-(** [Grid] with shared geometry and adaptive row ordering: same samples
-    as the historical exhaustive sweep, computed faster. *)
-
-val baseline_config : config
-(** The pre-overhaul engine preserved verbatim — exhaustive grid through
-    the per-point {!operational_at} path, no hoisting, no adaptive
-    ordering.  The benchmark harness measures every other configuration
-    against this one. *)
+(** [Grid], 100 probes, a fixed seed. *)
 
 val algorithm_name : algorithm -> string
 val algorithm_of_string : string -> algorithm option
@@ -101,9 +84,13 @@ val sweep :
   t
 (** Classify the grid with [config] (default {!default_config}): a
     point is operational when every input row's complete ground-state
-    set reads back [spec].  [engine] defaults to {!Bdl.default_engine}
-    (exact pruned search unless overridden); a heuristic engine makes
-    the classification an estimate.  Evaluation batches are classified
+    set reads back [spec].  [engine] defaults to exact [Pruned]; a
+    heuristic engine makes the classification an estimate.  Every
+    algorithm classifies through one path: the site union and its
+    distance matrix are built once per sweep (only the screened-Coulomb
+    kernel sees the swept parameters), and each point tries the most
+    recently failing truth-table row first, so non-operational points
+    short-circuit after ~1 solve.  Evaluation batches are classified
     by [jobs] domains (default {!Parallel.Pool.default_jobs}); every
     algorithm's batches are deterministic, so results are bit-identical
     to the serial ([jobs = 1]) sweep at any job count.
@@ -111,22 +98,17 @@ val sweep :
     two axes use the same parameter. *)
 
 val operational_at :
-  ?interaction_cache:bool ->
   ?engine:Bdl.engine ->
   ?first_row:int ->
   Model.t ->
   Bdl.structure ->
   spec:(bool array -> bool array) ->
   bool
-(** One grid point of {!sweep}.  With [interaction_cache] (default) the
-    interaction matrix is computed once over the union of the structure's
-    sites and every truth-table row's subsystem is sliced out of it —
-    same entries bit-for-bit, 2^arity fewer screened-Coulomb matrix
-    builds; [~interaction_cache:false] rebuilds per row (the reference
-    path, kept for the cache-agreement test).  [first_row] (default 0)
-    is the truth-table row checked first — the verdict is the same for
-    any value (out-of-range values fall back to 0); the sweep's adaptive
-    row ordering feeds the most recently failing row through it. *)
+(** One grid point of {!sweep}, classified through the same path — the
+    per-point reference that sweeps are checked against.  [engine]
+    defaults to exact [Pruned].  [first_row] (default 0) is the
+    truth-table row checked first — the verdict is the same for any
+    value (out-of-range values fall back to 0). *)
 
 val set_parameter : Model.t -> parameter -> float -> Model.t
 

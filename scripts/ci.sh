@@ -4,7 +4,10 @@
 # Stages:
 #   1. fast type-check        (dune build @check)
 #   2. full build             (dune build, warnings are errors)
-#   3. test suite             (dune runtest --force, timed)
+#   3. test suite             (dune runtest --force, timed, once at
+#                              FICTIONETTE_JOBS=1 and once at 2: results
+#                              and diagnostics must not depend on the
+#                              job count)
 #   4. property fuzzing       (bounded, fixed seed: solver vs. oracle
 #                              with DRAT-checked UNSATs, XAG rewrite/map
 #                              behavior preservation, defect-yield
@@ -55,12 +58,13 @@
 #                              quicksim finishes with valid states,
 #                              exact engines refuse with a structured
 #                              error)
-#  14. opdomain smoke         (operational-domain algorithm fuzz:
-#                              flood fill / contour tracing must agree
-#                              with the exhaustive grid on every point
-#                              they evaluate, bit-identically at any
-#                              job count; then the opdomain bench in
-#                              smoke mode must write a well-formed
+#  14. opdomain smoke         (operational-domain algorithm fuzz: the
+#                              grid must match the per-point reference
+#                              and flood fill / contour tracing must
+#                              agree with the grid on every point they
+#                              evaluate, bit-identically at any job
+#                              count; then the opdomain bench in smoke
+#                              mode must write a well-formed
 #                              BENCH_opdomain.json)
 set -eu
 
@@ -73,10 +77,12 @@ echo "== 2/14 full build =="
 dune build
 
 echo "== 3/14 test suite =="
-start=$(date +%s)
-dune runtest --force
-end=$(date +%s)
-echo "tests passed in $((end - start))s"
+for jobs in 1 2; do
+    start=$(date +%s)
+    FICTIONETTE_JOBS=$jobs dune runtest --force
+    end=$(date +%s)
+    echo "tests passed at FICTIONETTE_JOBS=$jobs in $((end - start))s"
+done
 
 echo "== 4/14 property fuzzing =="
 # Fixed seed: reproducible in CI, >= 500 iterations across the eight
@@ -229,14 +235,15 @@ fi
 
 echo "== 14/14 opdomain smoke (algorithm agreement + BENCH_opdomain.json shape) =="
 # The dedicated operational-domain fuzz property: on random library
-# gates over random 2-D parameter slices, the tuned grid must match the
-# preserved baseline sweep bit for bit, flood fill / contour tracing
-# must carry the grid's classification on every point they evaluate,
-# and each algorithm must be bit-identical at any job count.
+# gates over random 2-D parameter slices, the grid must match the
+# per-point reference (Operational_domain.operational_at at each
+# point), flood fill / contour tracing must carry the grid's
+# classification on every point they evaluate, and each algorithm must
+# be bit-identical at any job count.
 dune exec test/fuzz.exe -- -seed 61442 -cnf 0 -amo 0 -xag 0 -cuts 0 -defect 0 -system 0 -defect-aware 0 -serve 0 -simplify 0 -portfolio 0 -quicksim 0 -opdomain 40
 # Opdomain bench in smoke mode: the harness itself exits nonzero on any
-# classification mismatch against the baseline grid or any job-count
-# divergence; the report must be well-formed.
+# classification mismatch against the per-point reference or any
+# job-count divergence; the report must be well-formed.
 out=$(mktemp)
 dune exec bench/main.exe -- opdomain --smoke --jobs 2 --out "$out"
 grep -q '"schema": "fictionette-bench-opdomain/1"' "$out"
@@ -247,7 +254,7 @@ grep -q '"identical_to_baseline": true' "$out"
 grep -q '"layouts": \[' "$out"
 grep -q '"engine": "quicksim"' "$out"
 if grep -q '"identical_to_baseline": false' "$out"; then
-    echo "opdomain smoke: sampled algorithm differed from the baseline grid" >&2
+    echo "opdomain smoke: a sweep differed from the per-point reference" >&2
     exit 1
 fi
 rm -f "$out"

@@ -333,10 +333,10 @@ let library_gates () =
 let test_domain_algorithms () =
   (* Flood fill and contour tracing vs the exhaustive grid on every
      library gate at a matched grid: any point a sampled algorithm
-     evaluated must carry the grid's exact classification, the tuned
-     grid (shared geometry + adaptive rows) must be identical to the
-     preserved baseline everywhere, and flood fill's fraction is a lower
-     bound on the grid's. *)
+     evaluated must carry the grid's exact classification, the grid
+     (shared geometry + adaptive rows) must match the per-point
+     reference ([OD.operational_at] at each point) everywhere, and flood
+     fill's fraction is a lower bound on the grid's. *)
   let module OD = Sidb.Operational_domain in
   (* The (μ₋, ε_r) plane at λ_TF = 5 nm holds a real connected region for
      the big-domain gates (wire/or2/and2), so the sampled algorithms have
@@ -353,11 +353,21 @@ let test_domain_algorithms () =
       | Some s, Some spec ->
           let run config = OD.sweep ~config ~x_axis ~y_axis s ~spec in
           let ops d = List.map (fun sm -> sm.OD.operational) d.OD.samples in
-          let grid = run OD.baseline_config in
-          let tuned = run OD.default_config in
-          Alcotest.(check bool) (name ^ ": tuned grid = baseline grid") true
-            (ops grid = ops tuned);
-          Alcotest.(check int) (name ^ ": baseline evaluates everything")
+          let grid = run OD.default_config in
+          let reference =
+            List.map
+              (fun (sm : OD.sample) ->
+                OD.operational_at
+                  (OD.set_parameter
+                     (OD.set_parameter Sidb.Model.default x_axis.OD.parameter
+                        sm.OD.x_value)
+                     y_axis.OD.parameter sm.OD.y_value)
+                  s ~spec)
+              grid.OD.samples
+          in
+          Alcotest.(check bool) (name ^ ": grid = per-point reference") true
+            (ops grid = reference);
+          Alcotest.(check int) (name ^ ": grid evaluates everything")
             grid.OD.stats.OD.total_points grid.OD.stats.OD.points_evaluated;
           List.iter
             (fun algorithm ->

@@ -98,7 +98,7 @@ let test_simulate_layout_exact_refusal () =
           in
           Alcotest.(check bool) "mentions the refusal" true
             (contains e "refused"))
-    [ Sidb.Bdl.Exhaustive; Sidb.Bdl.Pruned; Sidb.Bdl.Branch_and_bound ]
+    [ Sidb.Bdl.Exhaustive; Sidb.Bdl.Pruned ]
 
 let test_domain_of_layout_quicksim () =
   (* Whole-layout operational domain on the heuristic engine: a tiny
@@ -252,15 +252,26 @@ let test_fallback_under_deadline () =
       | None -> Alcotest.fail "engine not recorded")
 
 let test_fallback_millisecond_deadline () =
-  (* An even harsher deadline forces the degradation deterministically. *)
+  (* An even harsher deadline forces the degradation deterministically:
+     the budget runs on a step clock that advances 0.4 ms per reading,
+     so the 1 ms deadline survives the check before physical design and
+     trips at the exact engine's first check — whatever the host's
+     speed and however cold its caches. *)
   let options =
     {
       F.default_options with
       engine = F.Exact_with_fallback Physdesign.Exact.default_config;
     }
   in
+  let now = ref 0. in
+  let clock () =
+    let t = !now in
+    now := t +. 0.0004;
+    t
+  in
   match
-    F.run_benchmark ~options ~budget:(Core.Budget.of_seconds 0.001) "mux21"
+    F.run_benchmark ~options ~budget:(Core.Budget.of_seconds ~clock 0.001)
+      "mux21"
   with
   | Error f -> Alcotest.fail ("must not fail: " ^ F.error_message f)
   | Ok r ->
@@ -353,6 +364,67 @@ let test_paranoid_benchmarks () =
      the winner, so the DRAT-checked refutation path really ran. *)
   Alcotest.(check bool) "some refutation was proof-checked" true
     (!total_certified > 0)
+
+(* Diagnostics are the same at every job count: a parallel exact wave
+   may solve larger candidates speculatively, but only the candidates up
+   to the winner count as attempts and feed the solver statistics.  Only
+   wall-clock fields may differ. *)
+let test_diagnostics_jobs_invariant () =
+  let at_jobs jobs f =
+    let saved = Parallel.Pool.default_jobs () in
+    Parallel.Pool.set_default_jobs jobs;
+    Fun.protect ~finally:(fun () -> Parallel.Pool.set_default_jobs saved) f
+  in
+  let diagnostics ~paranoid jobs =
+    match at_jobs jobs (fun () -> F.run_benchmark ~paranoid "xor2") with
+    | Error f -> Alcotest.fail (F.error_message f)
+    | Ok r ->
+        let d = r.F.diagnostics in
+        {
+          d with
+          F.elapsed_s = 0.;
+          solver_stats = { d.F.solver_stats with Sat.Solver.solve_time_s = 0. };
+        }
+  in
+  let rec untimed = function
+    | Serve.Json.Obj fields ->
+        Serve.Json.Obj
+          (List.filter_map
+             (fun (k, v) ->
+               if k = "elapsed_s" || k = "latency_ms" then None
+               else Some (k, untimed v))
+             fields)
+    | Serve.Json.List l -> Serve.Json.List (List.map untimed l)
+    | j -> j
+  in
+  let json kind jobs =
+    let line =
+      Printf.sprintf
+        {|{"fictionette-serve":1,"kind":"%s","id":1,"benchmark":"xor2"}|} kind
+    in
+    at_jobs jobs (fun () ->
+        Serve.Server.handle_line (Serve.Server.create ()) line
+        |> List.map (fun l ->
+               match Serve.Json.parse l with
+               | Ok j -> Serve.Json.to_string (untimed j)
+               | Error e -> Alcotest.fail e))
+  in
+  List.iter
+    (fun paranoid ->
+      let d1 = diagnostics ~paranoid 1 in
+      Alcotest.(check int) "one candidate solve" 1 d1.F.exact_attempts;
+      Alcotest.(check bool)
+        (Printf.sprintf "paranoid=%b diagnostics identical at jobs 1 and 2"
+           paranoid)
+        true
+        (d1 = diagnostics ~paranoid 2))
+    [ true; false ];
+  List.iter
+    (fun kind ->
+      Alcotest.(check (list string))
+        (kind ^ " --json identical at jobs 1 and 2")
+        (json kind 1) (json kind 2))
+    [ "check"; "design" ]
 
 (* Rebuild the mapped netlist with the function of its first gate
    swapped for a behaviorally different one. *)
@@ -477,6 +549,8 @@ let () =
             test_paranoid_benchmarks;
           Alcotest.test_case "injected corruption caught" `Quick
             test_paranoid_catches_injected_corruption;
+          Alcotest.test_case "diagnostics jobs-invariant" `Quick
+            test_diagnostics_jobs_invariant;
           Alcotest.test_case "budget stays soft" `Quick
             test_paranoid_undecided_is_soft;
         ] );

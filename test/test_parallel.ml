@@ -203,34 +203,6 @@ let test_sweep_algorithms_jobs_identical () =
       Sidb.Operational_domain.Contour_tracing;
     ]
 
-let test_interaction_cache_agrees () =
-  (* The hoisted interaction matrix must not change a single verdict. *)
-  let s, spec = or_structure () in
-  let x_axis, y_axis = small_axes () in
-  for yi = 0 to y_axis.Sidb.Operational_domain.steps - 1 do
-    for xi = 0 to x_axis.Sidb.Operational_domain.steps - 1 do
-      let value (a : Sidb.Operational_domain.axis) i =
-        a.Sidb.Operational_domain.from_value
-        +. (a.Sidb.Operational_domain.to_value
-            -. a.Sidb.Operational_domain.from_value)
-           *. float_of_int i
-           /. float_of_int (a.Sidb.Operational_domain.steps - 1)
-      in
-      let model =
-        Sidb.Operational_domain.set_parameter
-          (Sidb.Operational_domain.set_parameter Sidb.Model.default
-             x_axis.Sidb.Operational_domain.parameter (value x_axis xi))
-          y_axis.Sidb.Operational_domain.parameter (value y_axis yi)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "cached = uncached at (%d,%d)" xi yi)
-        (Sidb.Operational_domain.operational_at ~interaction_cache:false model
-           s ~spec)
-        (Sidb.Operational_domain.operational_at ~interaction_cache:true model
-           s ~spec)
-    done
-  done
-
 (* --- defect-yield determinism --------------------------------------------- *)
 
 let xor2_layout () =
@@ -266,18 +238,18 @@ let test_yield_serial_parallel_identical () =
     [ 2; 4 ]
 
 let test_yield_pruned_engine_agrees () =
-  (* The default (pruned) engine and branch & bound give the same
+  (* The default (pruned) engine and the exhaustive oracle give the same
      trial-by-trial verdicts. *)
   let layout = xor2_layout () in
   let params =
     { Sidb.Defects.default_params with Sidb.Defects.trials = 8; seed = 11 }
   in
   let pruned = Bestagon.Yield.of_layout ~params layout in
-  let bnb =
-    Bestagon.Yield.of_layout ~engine:Sidb.Bdl.Branch_and_bound ~params layout
+  let oracle =
+    Bestagon.Yield.of_layout ~engine:Sidb.Bdl.Exhaustive ~params layout
   in
   Alcotest.(check (float 0.0)) "same layout yield"
-    bnb.Bestagon.Yield.layout_yield pruned.Bestagon.Yield.layout_yield
+    oracle.Bestagon.Yield.layout_yield pruned.Bestagon.Yield.layout_yield
 
 (* --- equivalence determinism ----------------------------------------------- *)
 
@@ -352,8 +324,6 @@ let () =
             test_sweep_serial_parallel_identical;
           Alcotest.test_case "sweep algorithms jobs=1/2/4" `Slow
             test_sweep_algorithms_jobs_identical;
-          Alcotest.test_case "interaction cache" `Slow
-            test_interaction_cache_agrees;
           Alcotest.test_case "yield jobs=1/2/4" `Slow
             test_yield_serial_parallel_identical;
           Alcotest.test_case "yield pruned engine" `Slow

@@ -149,6 +149,30 @@ let test_exact_global_conflict_budget () =
   | Error f -> Alcotest.fail ("unexpected failure: " ^ Ex.failure_message f)
   | Ok _ -> Alcotest.fail "expired deadline still routed"
 
+let test_exact_speculative_solves () =
+  (* xor2's smallest candidate is already satisfiable.  A 2-wide wave
+     also solves the next size, but only the winner counts as an attempt
+     and feeds the statistics: the result matches the serial run, and
+     the extra solve is reported on its own. *)
+  let nl = NL.of_mapped (mapped_of "xor2") in
+  let run jobs =
+    let config = { Ex.default_config with jobs = Some jobs } in
+    match Ex.place_and_route ~config nl with
+    | Ok r -> r
+    | Error e -> Alcotest.fail (Ex.failure_message e)
+  in
+  let untimed (r : Ex.result) =
+    { r.Ex.stats with Sat.Solver.solve_time_s = 0. }
+  in
+  let serial = run 1 and wave = run 2 in
+  Alcotest.(check int) "one attempt" 1 serial.Ex.attempts;
+  Alcotest.(check int) "same attempts" serial.Ex.attempts wave.Ex.attempts;
+  Alcotest.(check int) "no speculation at jobs 1" 0
+    serial.Ex.speculative_solves;
+  Alcotest.(check int) "next size speculated at jobs 2" 1
+    wave.Ex.speculative_solves;
+  Alcotest.(check bool) "same statistics" true (untimed serial = untimed wave)
+
 let test_exact_escalation_reaches_layout () =
   (* Escalating rounds over a modest per-round allowance still reach a
      layout for a small circuit. *)
@@ -253,6 +277,8 @@ let () =
           Alcotest.test_case "budget handling" `Quick test_exact_budget;
           Alcotest.test_case "global budget" `Quick
             test_exact_global_conflict_budget;
+          Alcotest.test_case "speculative solves" `Quick
+            test_exact_speculative_solves;
           Alcotest.test_case "escalation" `Quick
             test_exact_escalation_reaches_layout;
         ] );

@@ -201,7 +201,7 @@ let test_portfolio_external_cancel_resume () =
   let cancel = ref true in
   let budget =
     {
-      Sat.Budget.deadline = None;
+      Sat.Budget.unlimited with
       conflicts = None;
       cancelled = (fun () -> !cancel);
     }

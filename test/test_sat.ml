@@ -325,7 +325,7 @@ let test_cancelled_then_resumed_allowance () =
   let cancel = ref false in
   let budget =
     {
-      Sat.Budget.deadline = None;
+      Sat.Budget.unlimited with
       conflicts = Some allowance;
       cancelled = (fun () -> !cancel);
     }
@@ -363,7 +363,7 @@ let test_cancelled_resume_never_sat_when_poisoned () =
          let cancel = ref true in
          let budget =
            {
-             Sat.Budget.deadline = None;
+             Sat.Budget.unlimited with
              conflicts = None;
              cancelled = (fun () -> !cancel);
            }

@@ -359,7 +359,8 @@ let test_simulate_engine_selection () =
   Alcotest.(check string) "exhaustive ok" "ok" (status r);
   Alcotest.(check bool) "flagged exact" true
     (J.bool_ (field "exact" (field "result" r)) = Some true);
-  (* Default: the server's process-wide engine (pruned, exact). *)
+  (* Default: the engine resolved when the server was created (pruned,
+     exact, with FICTIONETTE_SIM_ENGINE unset). *)
   let r = sim None in
   Alcotest.(check string) "default ok" "ok" (status r);
   Alcotest.(check bool) "default exact" true

@@ -4,7 +4,6 @@ module L = Sidb.Lattice
 module Mo = Sidb.Model
 module CS = Sidb.Charge_system
 module GS = Sidb.Ground_state
-module SA = Sidb.Simanneal
 module B = Sidb.Bdl
 
 let feq = Alcotest.(float 1e-9)
@@ -125,13 +124,13 @@ let random_system seed n =
   in
   CS.create Mo.default (Array.of_list (fresh_sites [] n))
 
-let prop_bnb_matches_exhaustive =
-  QCheck.Test.make ~name:"branch&bound = exhaustive" ~count:40
+let prop_pruned_matches_exhaustive =
+  QCheck.Test.make ~name:"pruned = exhaustive" ~count:40
     (QCheck.pair (QCheck.int_range 1 10000) (QCheck.int_range 2 12))
     (fun (seed, n) ->
       let sys = random_system seed n in
       let e1 = (GS.exhaustive sys).GS.energy in
-      let e2 = (GS.branch_and_bound sys).GS.energy in
+      let e2 = (GS.pruned sys).GS.energy in
       Float.abs (e1 -. e2) < 1e-9)
 
 let prop_ground_state_is_valid =
@@ -139,29 +138,8 @@ let prop_ground_state_is_valid =
     (QCheck.pair (QCheck.int_range 1 10000) (QCheck.int_range 2 10))
     (fun (seed, n) ->
       let sys = random_system seed n in
-      let r = GS.branch_and_bound sys in
+      let r = GS.pruned sys in
       List.for_all (CS.physically_valid sys) r.GS.states)
-
-let prop_anneal_not_below_exact =
-  QCheck.Test.make ~name:"annealer >= exact ground energy" ~count:15
-    (QCheck.pair (QCheck.int_range 1 10000) (QCheck.int_range 2 10))
-    (fun (seed, n) ->
-      let sys = random_system seed n in
-      let exact = (GS.branch_and_bound sys).GS.energy in
-      let anneal =
-        (SA.run ~params:{ SA.default_params with instances = 8; sweeps = 150 }
-           ~seed sys)
-          .GS.energy
-      in
-      anneal >= exact -. 1e-9)
-
-let test_anneal_finds_ground_state () =
-  (* On a gate-sized structured system the annealer finds the exact
-     optimum. *)
-  let sys = random_system 42 14 in
-  let exact = (GS.branch_and_bound sys).GS.energy in
-  let anneal = (SA.run ~seed:3 sys).GS.energy in
-  Alcotest.(check feq) "energies agree" exact anneal
 
 let test_degenerate_states_reported () =
   (* Two tightly-bound pairs stacked vertically: each holds one
@@ -184,7 +162,7 @@ let test_degenerate_states_reported () =
 let test_empty_system () =
   let sys = CS.create Mo.default [||] in
   Alcotest.(check feq) "empty energy" 0. (GS.exhaustive sys).GS.energy;
-  Alcotest.(check feq) "bnb empty" 0. (GS.branch_and_bound sys).GS.energy
+  Alcotest.(check feq) "pruned empty" 0. (GS.pruned sys).GS.energy
 
 (* --- BDL ------------------------------------------------------------------------ *)
 
@@ -213,9 +191,9 @@ let test_wire_engines_agree () =
   let s = wire_structure () in
   let spec i = [| i.(0) |] in
   let r1 = B.check ~engine:B.Exhaustive s ~spec in
-  let r2 = B.check ~engine:B.Branch_and_bound s ~spec in
+  let r2 = B.check ~engine:B.Pruned s ~spec in
   Alcotest.(check bool) "exhaustive ok" true (B.operational r1);
-  Alcotest.(check bool) "bnb ok" true (B.operational r2);
+  Alcotest.(check bool) "pruned ok" true (B.operational r2);
   List.iter2
     (fun a b ->
       Alcotest.(check feq) "same ground energy" a.B.ground_energy
@@ -257,7 +235,7 @@ let test_spectrum_sorted_and_complete () =
   in
   Alcotest.(check bool) "sorted" true (sorted energies);
   Alcotest.(check feq) "starts at ground energy"
-    (GS.branch_and_bound sys).GS.energy (List.hd energies);
+    (GS.pruned sys).GS.energy (List.hd energies);
   (* Every reported state's energy is consistent with the system. *)
   List.iter
     (fun (occ, e) ->
@@ -505,9 +483,29 @@ let test_engine_of_string () =
   Alcotest.(check bool) "quicksim" true (ok "quicksim" "quicksim");
   Alcotest.(check bool) "unknown rejected" true
     (match B.engine_of_string "bogus" with Error _ -> true | Ok _ -> false);
+  Alcotest.(check bool) "retired bb alias rejected" true
+    (match B.engine_of_string "bb" with Error _ -> true | Ok _ -> false);
   Alcotest.(check bool) "exactness flags" true
     (B.engine_exact B.Pruned
     && not (B.engine_exact (B.Quicksim GS.default_quicksim)))
+
+let test_engine_resolution () =
+  (* Flag > FICTIONETTE_SIM_ENGINE > no preference (the caller's
+     default); an unparsable environment value is ignored. *)
+  let name = function None -> "default" | Some e -> B.engine_name e in
+  let resolved flag env = name (B.resolve_engine ~flag ~env) in
+  Alcotest.(check string) "flag beats env" "exhaustive"
+    (resolved (Some B.Exhaustive) (Some "quicksim"));
+  Alcotest.(check string) "flag alone" "pruned" (resolved (Some B.Pruned) None);
+  Alcotest.(check string) "env without flag" "quicksim"
+    (resolved None (Some "quicksim"));
+  Alcotest.(check string) "env alias" "pruned"
+    (resolved None (Some " QuickExact "));
+  Alcotest.(check string) "neither" "default" (resolved None None);
+  Alcotest.(check string) "bad env ignored" "default"
+    (resolved None (Some "bb"));
+  Alcotest.(check string) "env variable" "FICTIONETTE_SIM_ENGINE"
+    B.engine_env_var
 
 (* --- spectrum-pool temperature analysis ----------------------------------- *)
 
@@ -597,16 +595,12 @@ let () =
         ] );
       ( "ground-state",
         [
-          Alcotest.test_case "anneal finds optimum" `Quick
-            test_anneal_finds_ground_state;
           Alcotest.test_case "degeneracy" `Quick test_degenerate_states_reported;
           Alcotest.test_case "empty system" `Quick test_empty_system;
         ]
         @ qt
             [
-              prop_bnb_matches_exhaustive;
-              prop_ground_state_is_valid;
-              prop_anneal_not_below_exact;
+              prop_pruned_matches_exhaustive; prop_ground_state_is_valid;
             ] );
       ( "incremental-hops",
         [ Alcotest.test_case "delta = recompute" `Quick test_energy_delta_hop ] );
@@ -617,6 +611,7 @@ let () =
           Alcotest.test_case "exact refusal" `Quick
             test_exact_engine_refuses_large_system;
           Alcotest.test_case "engine parsing" `Quick test_engine_of_string;
+          Alcotest.test_case "engine resolution" `Quick test_engine_resolution;
         ]
         @ qt [ prop_quicksim_matches_pruned ] );
       ( "finite-temperature",
