@@ -1159,25 +1159,22 @@ let sim () =
 (* SAT benchmark harness: BENCH_sat.json                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Times the SAT core old-vs-new on the workloads that actually drive
-   it: exact P&R on Table-1 benchmarks and equivalence miters.  Both
-   configurations live in one binary ({!Sat.Solver.legacy_config} vs
-   {!Sat.Solver.default_config}); "legacy" also reverts the P&R
-   instances to the pre-overhaul cardinality encodings and disables
-   symmetry breaking, so it reproduces the pre-PR pipeline end to end.
-   All runs are serial (jobs=1): the reported speedups are single-thread
-   algorithmic gains, not parallelism. *)
+(* Times the SAT core on the workloads that actually drive it: exact
+   P&R on Table-1 benchmarks and equivalence miters, each row checked
+   against an independent oracle.  An exact row matches when every
+   refuted candidate's DRAT proof was accepted and the layout is
+   equivalent to its source network; a miter row when its verdict equals
+   {!Verify.Equivalence.check_brute_force} on the same two networks.
+   All runs are serial (jobs=1). *)
 
 let sat_out = ref "BENCH_sat.json"
 let sat_portfolio = ref false
 
 type sat_row = {
   sat_workload : string;
-  sat_cfg : string;  (* "legacy" | "tuned" *)
   sat_wall : float;
   sat_verdict : string;
-  sat_speedup : float option;  (* tuned rows: legacy wall / tuned wall *)
-  sat_verdict_match : bool option;  (* tuned rows: verdict = legacy's *)
+  sat_oracle_match : bool;
   sat_stats : Sat.Solver.stats;
   sat_proof : string option;  (* "accepted" / "rejected" when certified *)
 }
@@ -1199,17 +1196,16 @@ type pf_row = {
   pf_counters : Sat.Simplify.counters;
 }
 
-let with_solver_config cfg f =
-  let saved = Sat.Solver.global_config () in
-  Sat.Solver.set_global_config cfg;
-  Fun.protect ~finally:(fun () -> Sat.Solver.set_global_config saved) f
-
+(* A benchmark's source network and its rewritten, mapped P&R netlist. *)
 let sat_netlist_of name =
-  let b = Logic.Benchmarks.find name in
-  (* Rewriting itself pins its synthesis solver, so the netlist is
-     identical under either global configuration; build it once. *)
-  let ntk = Logic.Rewrite.rewrite_to_fixpoint (b.Logic.Benchmarks.build ()) in
-  Physdesign.Netlist.of_mapped (fst (Logic.Tech_map.map ntk))
+  let ntk = (Logic.Benchmarks.find name).Logic.Benchmarks.build () in
+  let rewritten = Logic.Rewrite.rewrite_to_fixpoint ntk in
+  (ntk, Physdesign.Netlist.of_mapped (fst (Logic.Tech_map.map rewritten)))
+
+let sat_verdict_string = function
+  | Sat.Solver.Unsat -> "equivalent"
+  | Sat.Solver.Sat -> "counterexample"
+  | Sat.Solver.Unknown _ -> "undecided"
 
 let sat_exact_verdict = function
   | Ok r ->
@@ -1221,9 +1217,9 @@ let sat_exact_verdict = function
 
 (* An n-bit array multiplier over {!Logic.Network}; [rev] accumulates
    the partial-product rows in the opposite order.  The miter of the two
-   orders is the classic hard-but-small equivalence instance: verdicts
-   stay identical across solver configurations while the solver does
-   real work (mult8 is ~700k conflicts on the legacy configuration). *)
+   orders is the classic hard-but-small equivalence instance: the solver
+   does real work (mult8 takes ~450k conflicts) while brute-force
+   simulation still decides it. *)
 let sat_multiplier n rev =
   let module N = Logic.Network in
   let ntk = N.create () in
@@ -1301,26 +1297,20 @@ let write_sat_json ~cores ~portfolio rows =
   add "  \"jobs\": 1,\n";
   add "  \"smoke\": %b,\n" !sim_smoke;
   add
-    "  \"notes\": \"single-thread comparison: legacy = pre-overhaul solver \
-     (no binary specialization, no blocking literals, activity-based \
-     reduction with full watch rebuilds) and pre-overhaul pairwise/commander \
-     encodings; tuned = glue-based CDCL with binary implication lists, \
-     blocking literals, sequential-counter encodings and guarded symmetry \
-     breaking.  speedup_vs_legacy = legacy wall / tuned wall on the same \
-     workload.\",\n";
+    "  \"notes\": \"single-thread runs of the production solver (glue-based \
+     CDCL with binary implication lists and blocking literals; P&R with \
+     sequential-counter encodings and guarded symmetry breaking).  \
+     verdict_matches_oracle: exact rows have every refutation DRAT-checked \
+     and a layout equivalent to its network; miter rows agree with \
+     brute-force simulation of the same two networks.\",\n";
   add "  \"results\": [\n";
   List.iteri
     (fun i r ->
       let st = r.sat_stats in
-      add "    {\"workload\": \"%s\", \"config\": \"%s\", \"wall_s\": %.6f"
-        (json_escape r.sat_workload) (json_escape r.sat_cfg) r.sat_wall;
+      add "    {\"workload\": \"%s\", \"config\": \"tuned\", \"wall_s\": %.6f"
+        (json_escape r.sat_workload) r.sat_wall;
       add ", \"verdict\": \"%s\"" (json_escape r.sat_verdict);
-      (match r.sat_speedup with
-      | Some s -> add ", \"speedup_vs_legacy\": %.3f" s
-      | None -> add ", \"speedup_vs_legacy\": null");
-      (match r.sat_verdict_match with
-      | Some b -> add ", \"verdict_matches_legacy\": %b" b
-      | None -> add ", \"verdict_matches_legacy\": null");
+      add ", \"verdict_matches_oracle\": %b" r.sat_oracle_match;
       (match r.sat_proof with
       | Some p -> add ", \"proof\": \"%s\"" (json_escape p)
       | None -> add ", \"proof\": null");
@@ -1429,11 +1419,10 @@ let sat_portfolio_section ~smoke =
       let workload = Printf.sprintf "equiv/mult%d" n in
       let ntk1 = sat_multiplier n false and ntk2 = sat_multiplier n true in
       let (single_verdict, nvars, clauses), single_wall =
-        with_solver_config Sat.Solver.default_config (fun () ->
-            timed (fun () ->
-                let f, solver = sat_miter ~certify:false ntk1 ntk2 in
-                let v = Sat.Solver.solve solver in
-                (v, Sat.Cnf.num_vars f, Sat.Cnf.clauses f)))
+        timed (fun () ->
+            let f, solver = sat_miter ~certify:false ntk1 ntk2 in
+            let v = Sat.Solver.solve solver in
+            (v, Sat.Cnf.num_vars f, Sat.Cnf.clauses f))
       in
       Format.printf "  %-22s single %8.3fs  (reference)@." workload
         single_wall;
@@ -1444,12 +1433,7 @@ let sat_portfolio_section ~smoke =
           let p = Sat.Portfolio.create ~k ~certify ~nvars clauses in
           let verdict, wall = timed (fun () -> Sat.Portfolio.solve p) in
           Parallel.Pool.set_default_jobs 1;
-          let verdict_str =
-            match verdict with
-            | Sat.Solver.Unsat -> "equivalent"
-            | Sat.Solver.Sat -> "counterexample"
-            | Sat.Solver.Unknown _ -> "undecided"
-          in
+          let verdict_str = sat_verdict_string verdict in
           let matches = verdict = single_verdict in
           if not matches then (
             mismatch := true;
@@ -1510,96 +1494,57 @@ let sat () =
   let smoke = !sim_smoke in
   let cores = Domain.recommended_domain_count () in
   let rows = ref [] in
-  let mismatch = ref false in
-  let best_speedup = ref 0.0 in
   let emit r =
     rows := r :: !rows;
-    (match r.sat_verdict_match with
-    | Some false ->
-        mismatch := true;
-        Format.printf "  VERDICT MISMATCH on %s@." r.sat_workload
-    | _ -> ());
-    (match r.sat_speedup with
-    | Some s when s > !best_speedup -> best_speedup := s
-    | _ -> ());
-    Format.eprintf "solver %s/%s: %a@." r.sat_workload r.sat_cfg
-      Sat.Solver.pp_stats r.sat_stats;
-    Format.printf "  %-22s %-6s %8.3fs  %-12s%s%s@." r.sat_workload r.sat_cfg
-      r.sat_wall r.sat_verdict
-      (match r.sat_speedup with
-      | Some s -> Printf.sprintf "  %.2fx vs legacy" s
-      | None -> "")
-      (match r.sat_proof with
-      | Some p -> "  proof " ^ p
-      | None -> "")
+    if not r.sat_oracle_match then
+      Format.printf "  ORACLE MISMATCH on %s@." r.sat_workload;
+    Format.eprintf "solver %s: %a@." r.sat_workload Sat.Solver.pp_stats
+      r.sat_stats;
+    Format.printf "  %-22s %8.3fs  %-12s%s@." r.sat_workload r.sat_wall
+      r.sat_verdict
+      (match r.sat_proof with Some p -> "  proof " ^ p | None -> "")
   in
-  (* --- exact P&R, legacy vs tuned, certified ---------------------- *)
+  (* --- exact P&R, certified ------------------------------------------ *)
   let exact_benches =
     if smoke then [ "xor2"; "par_gen" ]
     else [ "xor2"; "xnor2"; "par_gen"; "mux21"; "par_check"; "t"; "c17" ]
   in
   List.iter
     (fun name ->
-      let nl = sat_netlist_of name in
-      let workload = "exact/" ^ name in
-      let run ~legacy =
-        let solver_cfg =
-          if legacy then Sat.Solver.legacy_config else Sat.Solver.default_config
-        in
-        let config =
-          {
-            Physdesign.Exact.default_config with
-            legacy_encoding = legacy;
-            symmetry_breaking = not legacy;
-            certify = true;
-            jobs = Some 1;
-          }
-        in
-        with_solver_config solver_cfg (fun () ->
-            timed (fun () -> Physdesign.Exact.place_and_route ~config nl))
+      let ntk, nl = sat_netlist_of name in
+      let config =
+        { Physdesign.Exact.default_config with certify = true; jobs = Some 1 }
       in
-      let legacy_res, legacy_wall = run ~legacy:true in
-      let stats_of = function
-        | Ok r -> r.Physdesign.Exact.stats
-        | Error _ -> Sat.Solver.empty_stats
+      let res, wall =
+        timed (fun () -> Physdesign.Exact.place_and_route ~config nl)
       in
-      let proof_of = function
+      (* certify=true: every refuted candidate's UNSAT proof was accepted
+         by the independent DRAT checker, or the search would have failed
+         with Certification_failed. *)
+      let stats, proof, oracle_match =
+        match res with
         | Ok r ->
-            (* certify=true: every refuted candidate's UNSAT proof was
-               accepted by the independent DRAT checker, or the search
-               would have failed with Certification_failed. *)
-            Some
-              (Printf.sprintf "accepted (%d refutation(s))"
-                 r.Physdesign.Exact.certified_refutations)
-        | Error (Physdesign.Exact.Certification_failed _) -> Some "rejected"
-        | Error _ -> None
+            ( r.Physdesign.Exact.stats,
+              Some
+                (Printf.sprintf "accepted (%d refutation(s))"
+                   r.Physdesign.Exact.certified_refutations),
+              Verify.Equivalence.check_layout ntk r.Physdesign.Exact.layout
+              = Ok Verify.Equivalence.Equivalent )
+        | Error (Physdesign.Exact.Certification_failed _) ->
+            (Sat.Solver.empty_stats, Some "rejected", false)
+        | Error _ -> (Sat.Solver.empty_stats, None, false)
       in
       emit
         {
-          sat_workload = workload;
-          sat_cfg = "legacy";
-          sat_wall = legacy_wall;
-          sat_verdict = sat_exact_verdict legacy_res;
-          sat_speedup = None;
-          sat_verdict_match = None;
-          sat_stats = stats_of legacy_res;
-          sat_proof = proof_of legacy_res;
-        };
-      let tuned_res, tuned_wall = run ~legacy:false in
-      emit
-        {
-          sat_workload = workload;
-          sat_cfg = "tuned";
-          sat_wall = tuned_wall;
-          sat_verdict = sat_exact_verdict tuned_res;
-          sat_speedup = Some (legacy_wall /. tuned_wall);
-          sat_verdict_match =
-            Some (sat_exact_verdict tuned_res = sat_exact_verdict legacy_res);
-          sat_stats = stats_of tuned_res;
-          sat_proof = proof_of tuned_res;
+          sat_workload = "exact/" ^ name;
+          sat_wall = wall;
+          sat_verdict = sat_exact_verdict res;
+          sat_oracle_match = oracle_match;
+          sat_stats = stats;
+          sat_proof = proof;
         })
     exact_benches;
-  (* --- equivalence miters, legacy vs tuned, DRAT-checked ----------- *)
+  (* --- equivalence miters, DRAT-checked ------------------------------ *)
   (* Benchmark-vs-rewritten miters are quick (repeated for measurable
      walls, proofs small enough to check); the multiplier miters are the
      heavyweight workloads (certification is skipped beyond mult5: a
@@ -1634,76 +1579,64 @@ let sat () =
   in
   List.iter
     (fun (workload, ntk1, ntk2, eq_reps, certify) ->
-      let run cfg =
-        with_solver_config cfg (fun () ->
-            timed (fun () ->
-                let last = ref None in
-                for rep = 1 to eq_reps do
-                  let f, solver =
-                    sat_miter ~certify:(certify && rep = eq_reps) ntk1 ntk2
-                  in
-                  let v = Sat.Solver.solve solver in
-                  if rep = eq_reps then last := Some (f, solver, v)
-                done;
-                match !last with Some x -> x | None -> assert false))
+      let (f, solver, verdict), wall =
+        timed (fun () ->
+            let last = ref None in
+            for rep = 1 to eq_reps do
+              let f, solver =
+                sat_miter ~certify:(certify && rep = eq_reps) ntk1 ntk2
+              in
+              let v = Sat.Solver.solve solver in
+              if rep = eq_reps then last := Some (f, solver, v)
+            done;
+            match !last with Some x -> x | None -> assert false)
       in
-      let row cfg_name ((f, solver, verdict), wall) legacy_row =
-        let verdict_str =
-          match verdict with
-          | Sat.Solver.Unsat -> "equivalent"
-          | Sat.Solver.Sat -> "counterexample"
-          | Sat.Solver.Unknown _ -> "undecided"
-        in
-        let proof =
-          match verdict with
-          | Sat.Solver.Unsat when certify -> (
-              match
-                Sat.Drat.check ~nvars:(Sat.Cnf.num_vars f)
-                  ~clauses:(Sat.Cnf.clauses f)
-                  (Sat.Solver.proof solver)
-              with
-              | Sat.Drat.Valid -> Some "accepted"
-              | Sat.Drat.Invalid _ -> Some "rejected")
-          | _ -> None
-        in
+      let verdict_str = sat_verdict_string verdict in
+      let oracle =
+        match Verify.Equivalence.check_brute_force ~jobs:1 ntk1 ntk2 with
+        | Verify.Equivalence.Equivalent -> "equivalent"
+        | Verify.Equivalence.Counterexample _ -> "counterexample"
+        | v -> Verify.Equivalence.verdict_to_string v
+      in
+      let proof =
+        match verdict with
+        | Sat.Solver.Unsat when certify -> (
+            match
+              Sat.Drat.check ~nvars:(Sat.Cnf.num_vars f)
+                ~clauses:(Sat.Cnf.clauses f)
+                (Sat.Solver.proof solver)
+            with
+            | Sat.Drat.Valid -> Some "accepted"
+            | Sat.Drat.Invalid _ -> Some "rejected")
+        | _ -> None
+      in
+      emit
         {
           sat_workload = workload;
-          sat_cfg = cfg_name;
           sat_wall = wall;
           sat_verdict = verdict_str;
-          sat_speedup =
-            (match legacy_row with
-            | Some l -> Some (l.sat_wall /. wall)
-            | None -> None);
-          sat_verdict_match =
-            (match legacy_row with
-            | Some l -> Some (l.sat_verdict = verdict_str)
-            | None -> None);
+          sat_oracle_match = verdict_str = oracle;
           sat_stats = Sat.Solver.stats solver;
           sat_proof = proof;
-        }
-      in
-      let legacy_row = row "legacy" (run Sat.Solver.legacy_config) None in
-      emit legacy_row;
-      emit (row "tuned" (run Sat.Solver.default_config) (Some legacy_row)))
+        })
     eq_cases;
   let pf_rows, pf_mismatch, pf_rejected =
     if !sat_portfolio then sat_portfolio_section ~smoke else ([], false, false)
   in
   let rows = List.rev !rows in
   write_sat_json ~cores ~portfolio:pf_rows rows;
-  Format.printf "@.wrote %s (%d result rows, %d portfolio rows); best \
-                 speedup %.2fx@."
-    !sat_out (List.length rows) (List.length pf_rows) !best_speedup;
+  Format.printf "@.wrote %s (%d result rows, %d portfolio rows)@." !sat_out
+    (List.length rows) (List.length pf_rows);
   let rejected =
     pf_rejected || List.exists (fun r -> r.sat_proof = Some "rejected") rows
   in
+  let mismatch = List.exists (fun r -> not r.sat_oracle_match) rows in
   if rejected then Format.eprintf "a DRAT proof was rejected — failing@.";
-  if !mismatch then
-    Format.eprintf "legacy and tuned verdicts differ — failing@.";
+  if mismatch then
+    Format.eprintf "a verdict differed from its oracle — failing@.";
   if pf_mismatch then
     Format.eprintf "portfolio verdicts diverged — failing@.";
-  if !mismatch || pf_mismatch || rejected then exit 1
+  if mismatch || pf_mismatch || rejected then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Logic-synthesis benchmark harness: BENCH_logic.json                 *)

@@ -26,10 +26,6 @@ type config = {
 let default_config = { cut_size = 4; cuts_per_node = 12; priority = true }
 let exhaustive_config = { default_config with priority = false }
 
-let global = ref default_config
-let set_global_config c = global := c
-let global_config () = !global
-
 (* {2 Shared helpers} *)
 
 (* Sorted-array union; [None] when exceeding [k].  Pre-overhaul
@@ -547,10 +543,9 @@ let enumerate_priority cfg ntk =
       };
   }
 
-let enumerate ?config ?k ?max_cuts ntk =
-  let cfg = match config with Some c -> c | None -> global_config () in
+let enumerate ?(config = default_config) ?k ?max_cuts ntk =
   let cfg =
-    match k with Some k -> { cfg with cut_size = k } | None -> cfg
+    match k with Some k -> { config with cut_size = k } | None -> config
   in
   let cfg =
     match max_cuts with

@@ -6,8 +6,7 @@
     technology mapping (step 3).  Each cut carries the local function of
     [n] expressed over its leaves as an interned truth table.
 
-    Two enumeration strategies live behind {!config}, mirroring the SAT
-    core's [Solver.config]/[legacy_config] pair: the pre-overhaul
+    Two enumeration strategies live behind {!config}: the pre-overhaul
     list-based exhaustive enumeration ({!exhaustive_config}) and
     mockturtle-style priority cuts ({!default_config}) — a bounded
     per-node cut array filled through preallocated merge buffers, with
@@ -46,19 +45,12 @@ val exhaustive_config : config
 (** The pre-overhaul enumeration (same bounds, list-based full product
     merge).  Kept for benchmarking and cross-checks. *)
 
-val set_global_config : config -> unit
-(** Set the configuration used by {!enumerate} when none is given
-    explicitly.  Initially {!default_config}. *)
-
-val global_config : unit -> config
-
 (** {2 Enumeration} *)
 
 val enumerate : ?config:config -> ?k:int -> ?max_cuts:int -> Network.t -> t
-(** Enumerate cuts per node under [config] (default: the global
-    configuration).  [k] and [max_cuts] override the corresponding
-    configuration fields.  The trivial cut [{n}] is always included,
-    last. *)
+(** Enumerate cuts per node under [config] (default {!default_config}).
+    [k] and [max_cuts] override the corresponding configuration fields.
+    The trivial cut [{n}] is always included, last. *)
 
 val cuts_of : t -> int -> cut list
 (** Cuts of a node, trivial cut last. *)

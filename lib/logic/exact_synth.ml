@@ -66,13 +66,17 @@ let chain_table c =
 let try_size g r =
   let n = Truth_table.num_vars g in
   let rows = (1 lsl n) - 1 in
-  (* Pinned to the legacy solver configuration: the synthesized chain is
-     extracted from the SAT *model*, and among equally-sized chains the
-     one found depends on the solver's search order.  Downstream results
-     (NPN rewriting, hence every Table-1 netlist and layout) are keyed to
-     the chains the historical search order produces; these instances are
-     tiny, so solver speed is irrelevant here. *)
-  let f = Sat.Cnf.create ~config:Sat.Solver.legacy_config () in
+  (* The synthesized chain is read off the SAT *model*, and among
+     equally-sized chains the one found depends on the solver's search
+     order, so downstream results (NPN rewriting, hence every Table-1
+     netlist and layout) are keyed to this configuration.  Binaries stay
+     in the clause arena: on these tiny instances binary specialization
+     made building the NPN database about three times slower. *)
+  let f =
+    Sat.Cnf.create
+      ~config:{ Sat.Solver.default_config with binary_specialization = false }
+      ()
+  in
   (* Gate output values per row (row t, 1-based over rows 1..2^n-1). *)
   let x = Array.init r (fun _ -> Sat.Cnf.fresh_many f rows) in
   (* Op bits: c.(i) = [| c1; c2; c3 |]. *)

@@ -9,8 +9,6 @@ type config = {
   max_rounds : int;
   max_open_instances : int;
   certify : bool;
-  legacy_encoding : bool;
-  symmetry_breaking : bool;
   jobs : int option;
   portfolio : int option;
 }
@@ -23,8 +21,6 @@ let default_config =
     max_rounds = 8;
     max_open_instances = 8;
     certify = false;
-    legacy_encoding = false;
-    symmetry_breaking = true;
     jobs = None;
     portfolio = None;
   }
@@ -115,9 +111,8 @@ let engine_proof = function
   | Single s -> Sat.Solver.proof s
   | Portfolio p -> Sat.Portfolio.proof p
 
-let make_instance ?(certify = false) ?(legacy_encoding = false)
-    ?(symmetry = true) ?(blocked = fun _ -> false) ?portfolio ~width ~height
-    netlist =
+let make_instance ?(certify = false) ?(blocked = fun _ -> false) ?portfolio
+    ~width ~height netlist =
   let nn = Netlist.num_nodes netlist in
   let edges = Netlist.edges netlist in
   let ne = Array.length edges in
@@ -126,13 +121,7 @@ let make_instance ?(certify = false) ?(legacy_encoding = false)
   (* Cardinality encodings: the sequential counter produces only binary
      clauses for the long one-hot chains (placement rows, per-tile
      exclusivity), which the solver's binary implication lists propagate
-     without touching clause memory.  [legacy_encoding] reproduces the
-     pre-overhaul choice (pairwise up to 6 literals, commander groups
-     beyond) for in-tree benchmarking. *)
-  let one_hot_enc =
-    if legacy_encoding then Sat.Cnf.Commander else Sat.Cnf.Sequential
-  in
-  let amo_enc = if legacy_encoding then Sat.Cnf.Commander else Sat.Cnf.Auto in
+     without touching clause memory. *)
   let tile_index (c : Coord.offset) = (c.row * width) + c.col in
   let tiles =
     List.concat
@@ -189,7 +178,7 @@ let make_instance ?(certify = false) ?(legacy_encoding = false)
   (* A blocked tile breaks the horizontal mirror automorphism the
      symmetry-breaking constraint relies on (its mirror image may be
      free), so the constraint must be dropped on dirty grids. *)
-  let symmetry = symmetry && blocked_tiles = [] in
+  let symmetry = blocked_tiles = [] in
   let conn_out e p = List.map (fun (_, _, l) -> l) conn.(e).(tile_index p) in
   let conn_into e (t : Coord.offset) =
     List.filter_map
@@ -209,7 +198,7 @@ let make_instance ?(certify = false) ?(legacy_encoding = false)
         tiles
     in
     if vars = [] then Sat.Cnf.add_clause f [] (* unplaceable: unsat *)
-    else Sat.Cnf.exactly_one ~encoding:one_hot_enc f vars
+    else Sat.Cnf.exactly_one ~encoding:Sat.Cnf.Sequential f vars
   done;
   (* 2. At most one node per tile. *)
   List.iter
@@ -221,7 +210,7 @@ let make_instance ?(certify = false) ?(legacy_encoding = false)
             if v = 0 then None else Some v)
           (List.init nn (fun i -> i))
       in
-      Sat.Cnf.at_most_one ~encoding:one_hot_enc f vars)
+      Sat.Cnf.at_most_one ~encoding:Sat.Cnf.Sequential f vars)
     tiles;
   (* Tile-occupied auxiliaries (for purity constraints). *)
   let occupied =
@@ -252,7 +241,7 @@ let make_instance ?(certify = false) ?(legacy_encoding = false)
                     conn.(e).(tile_index p))
                 (List.init ne (fun i -> i))
             in
-            Sat.Cnf.at_most_one ~encoding:amo_enc f users)
+            Sat.Cnf.at_most_one f users)
           (successors ~width ~height p))
     tiles;
   (* 4./5. Per edge: at most one departure per tile and one arrival per
@@ -524,10 +513,15 @@ let luby_allowance x =
 
 let place_and_route ?(config = default_config) ?(budget = Sat.Budget.unlimited)
     ?blocked netlist =
-  let jobs =
-    match config.jobs with
-    | Some j -> max 1 j
-    | None -> Parallel.Pool.default_jobs ()
+  (* Wave width.  Under a global conflict budget each solve must be
+     charged before the next one's allowance is fixed, so such runs
+     solve one candidate at a time. *)
+  let wave_width =
+    if budget.Sat.Budget.conflicts <> None then 1
+    else
+      match config.jobs with
+      | Some j -> max 1 j
+      | None -> Parallel.Pool.default_jobs ()
   in
   let min_w = Netlist.min_width netlist
   and min_h = Netlist.min_height netlist in
@@ -566,8 +560,9 @@ let place_and_route ?(config = default_config) ?(budget = Sat.Budget.unlimited)
   let closed_stats = ref Sat.Solver.empty_stats in
   (* Conflicts spent by this call, against [budget.conflicts]. *)
   let spent = ref 0 in
-  (* Pre-wave stats of already-open candidates a parallel wave solved
-     speculatively (past its winner): what the serial path reports. *)
+  (* Pre-wave stats of already-open candidates a wave solved
+     speculatively (past its winner): what a one-at-a-time search
+     reports. *)
   let frozen = ref [] in
   let total_stats () =
     List.fold_left
@@ -670,112 +665,18 @@ let place_and_route ?(config = default_config) ?(budget = Sat.Budget.unlimited)
                 (fun c -> match c.state with Open _ -> true | _ -> false)
                 candidates))
       in
-      let build c =
-        let inst =
-          make_instance ~certify:config.certify
-            ~legacy_encoding:config.legacy_encoding
-            ~symmetry:config.symmetry_breaking ?blocked
-            ?portfolio:config.portfolio ~width:c.w ~height:c.h netlist
-        in
-        c.state <- Open inst;
-        inst
-      in
-      if jobs <= 1 then
-        (* Serial path: unchanged candidate-by-candidate escalation with
-           early exit on the first (smallest-area) satisfiable size. *)
-        List.iter
-          (fun c ->
-            match c.state with
-            | Refuted -> ()
-            | Unbuilt when !open_count >= config.max_open_instances ->
-                (* Defer far-out candidates until the escalation window
-                   advances, bounding memory. *)
-                unresolved := true
-            | (Unbuilt | Open _) as st -> (
-                (match Sat.Budget.check budget with
-                | Some r -> raise (Done (out_of_budget r !round))
-                | None -> ());
-                let remaining_global =
-                  Option.map
-                    (fun g -> g - !spent)
-                    budget.Sat.Budget.conflicts
-                in
-                (match remaining_global with
-                | Some r when r <= 0 ->
-                    raise (Done (out_of_budget Sat.Budget.Conflicts !round))
-                | Some _ | None -> ());
-                let inst =
-                  match st with
-                  | Open inst -> inst
-                  | _ ->
-                      let inst = build c in
-                      incr open_count;
-                      inst
-                in
-                let allowance =
-                  match (base, remaining_global) with
-                  | None, g -> g
-                  | Some b, None -> Some (b * luby_allowance !round)
-                  | Some b, Some g -> Some (min (b * luby_allowance !round) g)
-                in
-                let before = (engine_stats inst.engine).Sat.Solver.conflicts in
-                incr attempts;
-                let verdict =
-                  engine_solve
-                    ~budget:{ budget with Sat.Budget.conflicts = allowance }
-                    inst.engine
-                in
-                spent :=
-                  !spent
-                  + (engine_stats inst.engine).Sat.Solver.conflicts
-                  - before;
-                match verdict with
-                | Sat.Solver.Sat -> raise (Done (solved c inst !round))
-                | Sat.Solver.Unsat ->
-                    certify_refutation c inst;
-                    closed_stats :=
-                      Sat.Solver.add_stats !closed_stats
-                        (engine_stats inst.engine);
-                    c.state <- Refuted;
-                    decr open_count
-                | Sat.Solver.Unknown Sat.Budget.Conflicts ->
-                    unresolved := true
-                | Sat.Solver.Unknown (Sat.Budget.Deadline as r)
-                | Sat.Solver.Unknown (Sat.Budget.Cancelled as r) ->
-                    raise (Done (out_of_budget r !round))))
-          candidates
-      else begin
-        (* Parallel path: the actionable candidates of this round are
-           solved concurrently in waves of [jobs] on the shared domain
-           pool.  Each wave's conflict allowance is fixed before launch
-           and results are processed in candidate (area) order after the
-           wave completes, so the smallest satisfiable area wins
-           regardless of completion order.  Only the processed results
-           count as attempts; solves past the wave's winner (or past a
-           deadline) are speculative and reported separately, so the
-           diagnostics match the serial path at any job count. *)
-        let actionable =
-          List.filter
-            (fun c ->
-              match c.state with
-              | Refuted -> false
-              | Open _ -> true
-              | Unbuilt ->
-                  if !open_count >= config.max_open_instances then begin
-                    unresolved := true;
-                    false
-                  end
-                  else begin
-                    incr open_count;
-                    true
-                  end)
-            candidates
-        in
-        let arr = Array.of_list actionable in
-        let nw = Array.length arr in
-        let wi = ref 0 in
-        while !wi < nw do
-          let wave_n = min jobs (nw - !wi) in
+      (* The pending wave, newest first: each member with its pre-wave
+         statistics ([None] if this wave built it). *)
+      let wave = ref [] in
+      (* Solve the wave concurrently, then commit its results in area
+         order.  A winner (or a tripped deadline) ends the search there:
+         the members behind it were solved speculatively, so they count
+         neither as attempts nor in the statistics. *)
+      let flush () =
+        let members = Array.of_list (List.rev !wave) in
+        wave := [];
+        let n = Array.length members in
+        if n > 0 then begin
           (match Sat.Budget.check budget with
           | Some r -> raise (Done (out_of_budget r !round))
           | None -> ());
@@ -786,14 +687,6 @@ let place_and_route ?(config = default_config) ?(budget = Sat.Budget.unlimited)
           | Some r when r <= 0 ->
               raise (Done (out_of_budget Sat.Budget.Conflicts !round))
           | Some _ | None -> ());
-          let insts =
-            Array.init wave_n (fun k ->
-                let c = arr.(!wi + k) in
-                match c.state with
-                | Open inst -> (c, inst, Some (engine_stats inst.engine))
-                | Unbuilt -> (c, build c, None)
-                | Refuted -> assert false)
-          in
           let allowance =
             match (base, remaining_global) with
             | None, g -> g
@@ -801,35 +694,31 @@ let place_and_route ?(config = default_config) ?(budget = Sat.Budget.unlimited)
             | Some b, Some g -> Some (min (b * luby_allowance !round) g)
           in
           let results =
-            Parallel.Pool.map ~jobs wave_n (fun k ->
-                let _, inst, _ = insts.(k) in
-                let before =
-                  (engine_stats inst.engine).Sat.Solver.conflicts
-                in
+            Parallel.Pool.map ~jobs:n n (fun k ->
+                let _, inst, _ = members.(k) in
+                let before = (engine_stats inst.engine).Sat.Solver.conflicts in
                 let verdict =
                   engine_solve
                     ~budget:{ budget with Sat.Budget.conflicts = allowance }
                     inst.engine
                 in
-                let after =
-                  (engine_stats inst.engine).Sat.Solver.conflicts
-                in
+                let after = (engine_stats inst.engine).Sat.Solver.conflicts in
                 (verdict, after - before))
           in
-          Array.iter (fun (_, delta) -> spent := !spent + delta) results;
           let stop k result =
-            for j = k + 1 to wave_n - 1 do
+            for j = k + 1 to n - 1 do
               incr speculative;
-              match insts.(j) with
-              | c, _, None -> c.state <- Unbuilt (* built by this wave *)
+              match members.(j) with
+              | c, _, None -> c.state <- Unbuilt
               | c, _, Some st -> frozen := (c, st) :: !frozen
             done;
             raise (Done (result ()))
           in
           Array.iteri
-            (fun k (verdict, _) ->
-              let c, inst, _ = insts.(k) in
+            (fun k (verdict, delta) ->
+              let c, inst, _ = members.(k) in
               incr attempts;
+              spent := !spent + delta;
               match verdict with
               | Sat.Solver.Sat -> stop k (fun () -> solved c inst !round)
               | Sat.Solver.Unsat ->
@@ -837,15 +726,46 @@ let place_and_route ?(config = default_config) ?(budget = Sat.Budget.unlimited)
                   closed_stats :=
                     Sat.Solver.add_stats !closed_stats
                       (engine_stats inst.engine);
-                  c.state <- Refuted
+                  c.state <- Refuted;
+                  decr open_count
               | Sat.Solver.Unknown Sat.Budget.Conflicts -> unresolved := true
               | Sat.Solver.Unknown (Sat.Budget.Deadline as r)
               | Sat.Solver.Unknown (Sat.Budget.Cancelled as r) ->
                   stop k (fun () -> out_of_budget r !round))
-            results;
-          wi := !wi + wave_n
-        done
-      end;
+            results
+        end
+      in
+      let join c inst pre =
+        wave := (c, inst, pre) :: !wave;
+        if List.length !wave >= wave_width then flush ()
+      in
+      List.iter
+        (fun c ->
+          match c.state with
+          | Refuted -> ()
+          | Open inst -> join c inst (Some (engine_stats inst.engine))
+          | Unbuilt ->
+              (* Admission counts the wave's own members as open.  When
+                 that fills the window, the wave is solved first: its
+                 refutations may free a slot, exactly as they would
+                 before this candidate in a one-at-a-time search. *)
+              if !open_count >= config.max_open_instances then flush ();
+              if !open_count < config.max_open_instances then begin
+                let inst =
+                  make_instance ~certify:config.certify ?blocked
+                    ?portfolio:config.portfolio ~width:c.w ~height:c.h
+                    netlist
+                in
+                c.state <- Open inst;
+                incr open_count;
+                join c inst None
+              end
+              else
+                (* Defer far-out candidates until the escalation window
+                   advances, bounding memory. *)
+                unresolved := true)
+        candidates;
+      flush ();
       incr round
     done;
     Error

@@ -12,7 +12,11 @@
       (two signals per tile — realized as the double-wire or crossing
       Bestagon tile) and path connectivity are all clauses over these;
     - row-based clocking makes every downward step legal and balances all
-      signal paths by construction (throughput 1/1, cf. Sec. 5).
+      signal paths by construction (throughput 1/1, cf. Sec. 5);
+    - guarded horizontal mirror-symmetry breaking on the placement
+      variables.  The guard keeps it sound on the odd-r grid (where a
+      plain column mirror is not a grid automorphism), so no candidate
+      size changes satisfiability.
 
     Candidate dimensions are tried in order of increasing tile area, so
     the first satisfiable instance yields a minimum-area layout within
@@ -50,24 +54,16 @@ type config = {
           candidate size is excluded — the minimality claim then rests
           only on checked proofs.  A rejected proof aborts the search
           with {!Certification_failed}.  Default [false]. *)
-  legacy_encoding : bool;
-      (** Use the pre-overhaul cardinality encodings (pairwise up to 6
-          literals, commander groups beyond) instead of the compact
-          sequential-counter one-hot encodings.  Kept in-tree for the
-          [bench sat] old-vs-new comparison.  Default [false]. *)
-  symmetry_breaking : bool;
-      (** Add guarded horizontal mirror-symmetry breaking clauses on the
-          placement variables.  The guard keeps the constraint sound on
-          the odd-r hexagonal grid (where a plain column mirror is not a
-          grid automorphism), so candidate satisfiability — and hence the
-          minimum-area result — is never changed.  Default [true]. *)
   jobs : int option;
-      (** Worker count for solving the open candidate instances of one
-          escalation round concurrently on {!Parallel.Pool}.  [None]
-          (default) follows {!Parallel.Pool.default_jobs}; [Some 1]
-          forces the unchanged serial path.  The outcome is
-          deterministic: results are committed in candidate-area order,
-          so the smallest satisfiable area wins at any worker count. *)
+      (** Width of the solve waves: up to [jobs] open candidates, taken
+          in area order, are solved concurrently on {!Parallel.Pool}.
+          [None] (default) follows {!Parallel.Pool.default_jobs}.  A run
+          under a global conflict budget ({!Sat.Budget.t} [conflicts])
+          uses waves of one, so the allowance is charged candidate by
+          candidate.  Results are committed in area order and a
+          candidate is admitted exactly when the one-at-a-time search
+          would admit it, so without a deadline the layout, [attempts],
+          [rounds] and [stats] are the same at any [jobs]. *)
   portfolio : int option;
       (** Width of the {!Sat.Portfolio} racing each candidate instance.
           [None] (default) follows {!Sat.Portfolio.default_k};
@@ -87,9 +83,10 @@ type result = {
       (** Candidate solve calls, in area order up to and including the
           winner — the same count at any [jobs]. *)
   speculative_solves : int;
-      (** Parallel-wave solves of larger candidates past the winner,
-          whose results were discarded; always 0 at [jobs = 1].  Not
-          counted in [attempts] or [stats]. *)
+      (** Solves of larger candidates that shared the winner's wave and
+          whose results were discarded; always 0 at [jobs = 1] and under
+          a global conflict budget.  Not counted in [attempts] or
+          [stats]. *)
   rounds : int;  (** Escalation rounds used. *)
   budget_exhausted : bool;
       (** Some smaller-area candidate was still unresolved when this

@@ -41,7 +41,6 @@ let member_config i =
   | 0 -> d
   | 1 -> { d with seed = 1; restart_base = 512 }
   | 2 -> { d with seed = 2; restart_base = 32; reduce_slack = 500 }
-  | 3 -> { Solver.legacy_config with seed = 3 }
   | _ ->
       let bases = [| 100; 512; 32; 200 |] in
       { d with seed = i; restart_base = bases.(i mod 4) }
@@ -51,7 +50,6 @@ let config_name i =
   | 0 -> "tuned"
   | 1 -> "tuned-r512-s1"
   | 2 -> "tuned-r32-agile-s2"
-  | 3 -> "legacy-s3"
   | _ -> Printf.sprintf "tuned-r%d-s%d" [| 100; 512; 32; 200 |].(i mod 4) i
 
 type t = {

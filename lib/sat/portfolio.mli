@@ -86,4 +86,4 @@ val member_solver : t -> int -> Solver.t
 
 val config_name : int -> string
 (** Stable human-readable name of member [i]'s configuration, for bench
-    output ("tuned", "tuned-r512-s1", "legacy-s3", …). *)
+    output ("tuned", "tuned-r512-s1", "tuned-r200-s3", …). *)

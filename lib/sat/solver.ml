@@ -22,12 +22,6 @@ type config = {
   binary_specialization : bool;
       (* Keep 2-literal clauses in per-literal implication lists instead
          of the clause arena. *)
-  blocking_literals : bool;
-      (* Cache a "blocking" literal next to each watch entry; a
-         satisfied blocker skips the clause without touching it. *)
-  glue_reduction : bool;
-      (* Glucose-style reduce_db keyed on LBD with in-place watch
-         compaction; otherwise activity-keyed with a full rebuild. *)
   restart_base : int;
       (* Conflicts per Luby restart unit; the historical value is 100. *)
   reduce_slack : int;
@@ -44,18 +38,6 @@ type config = {
 let default_config =
   {
     binary_specialization = true;
-    blocking_literals = true;
-    glue_reduction = true;
-    restart_base = 100;
-    reduce_slack = 2000;
-    seed = 0;
-  }
-
-let legacy_config =
-  {
-    binary_specialization = false;
-    blocking_literals = false;
-    glue_reduction = false;
     restart_base = 100;
     reduce_slack = 2000;
     seed = 0;
@@ -67,14 +49,6 @@ let seed_mix seed v =
   let x = ((seed * 0x9E3779B1) + (v * 0x85EBCA77)) land 0x3FFFFFFF in
   let x = (x lxor (x lsr 13)) * 0xC2B2AE35 land 0x3FFFFFFF in
   x lxor (x lsr 11)
-
-(* Process-wide default picked up by [create] when no explicit config is
-   given; lets a benchmark driver flip every downstream solver (CNF
-   builders, equivalence miters, exact P&R) between the legacy and the
-   tuned configuration without threading a parameter through each layer. *)
-let global_config_ref = ref default_config
-let set_global_config c = global_config_ref := c
-let global_config () = !global_config_ref
 
 (* Growable int vector. *)
 module Ivec = struct
@@ -94,7 +68,6 @@ module Ivec = struct
   let get v i = v.data.(i)
   let set v i x = v.data.(i) <- x
   let size v = v.size
-  let clear v = v.size <- 0
   let shrink v n = v.size <- n
 end
 
@@ -178,8 +151,7 @@ type t = {
 let var_decay = 1. /. 0.95
 let cla_decay = 1. /. 0.999
 
-let create ?config () =
-  let config = match config with Some c -> c | None -> !global_config_ref in
+let create ?(config = default_config) () =
   {
     config;
     clauses =
@@ -518,7 +490,6 @@ let cancel_until s lvl =
 (* Returns the id of a conflicting clause, -2 for a binary conflict
    (literals in [bconf]), or -1 for no conflict. *)
 let propagate s =
-  let use_blocking = s.config.blocking_literals in
   let conflict = ref (-1) in
   while !conflict = -1 && s.qhead < Ivec.size s.trail do
     let p = Ivec.get s.trail s.qhead in
@@ -552,7 +523,7 @@ let propagate s =
         let id = Ivec.get ws !i in
         let blocker = Ivec.get ws (!i + 1) in
         i := !i + 2;
-        if use_blocking && lit_value s blocker = 1 then begin
+        if lit_value s blocker = 1 then begin
           (* Satisfied via the cached blocker: keep, don't dereference. *)
           Ivec.set ws !keep id;
           Ivec.set ws (!keep + 1) blocker;
@@ -730,13 +701,6 @@ let analyze s conflict_id =
 
 (* --- learned clause database reduction ------------------------------------ *)
 
-let rebuild_watches s =
-  Array.iter Ivec.clear s.watches;
-  for id = 0 to s.clause_count - 1 do
-    let c = s.clauses.(id) in
-    if not c.deleted then watch_clause s id
-  done
-
 (* Filter deleted clause ids out of every watch list without
    reallocating or re-pushing anything; counts scanned entries so the
    cost of database maintenance shows up in [stats]. *)
@@ -767,62 +731,37 @@ let locked s id =
   s.assign.(v) >= 0 && s.reason.(v) = id
 
 (* Delete half of the deletable learned clauses.  Called at decision
-   level 0 only.  Glue mode (default): clauses with glue <= 2 are
-   immortal and the worst half by (glue, then activity) goes; watch
-   lists are compacted in place.  Legacy mode: least active half goes
-   and every watch list is rebuilt from scratch. *)
+   level 0 only.  Clauses with glue <= 2 are immortal and the worst half
+   by (glue, then activity) goes; watch lists are compacted in place. *)
 let reduce_db s =
   s.reductions <- s.reductions + 1;
-  if s.config.glue_reduction then begin
-    let cand = ref [] in
-    for id = 0 to s.clause_count - 1 do
-      let c = s.clauses.(id) in
-      if c.learned && (not c.deleted) && Array.length c.lits > 2
-         && c.glue > 2 && not (locked s id)
-      then cand := (c.glue, c.activity, id) :: !cand
-    done;
-    (* Worst first: highest glue, ties broken by lowest activity. *)
-    let worst_first =
-      List.sort
-        (fun (g1, a1, _) (g2, a2, _) ->
-          if g1 <> g2 then compare g2 g1 else compare a1 a2)
-        !cand
-    in
-    let to_delete = List.length worst_first / 2 in
-    let deleted = ref 0 in
-    List.iteri
-      (fun i (_, _, id) ->
-        if i < to_delete then begin
-          s.clauses.(id).deleted <- true;
-          s.learned_clauses <- s.learned_clauses - 1;
-          s.deleted_total <- s.deleted_total + 1;
-          log_delete s s.clauses.(id).lits;
-          incr deleted
-        end)
-      worst_first;
-    if !deleted > 0 then compact_watches s
-  end
-  else begin
-    let learned = ref [] in
-    for id = 0 to s.clause_count - 1 do
-      let c = s.clauses.(id) in
-      if c.learned && (not c.deleted) && Array.length c.lits > 2
-         && not (locked s id)
-      then learned := (c.activity, id) :: !learned
-    done;
-    let sorted = List.sort compare !learned in
-    let to_delete = List.length sorted / 2 in
-    List.iteri
-      (fun i (_, id) ->
-        if i < to_delete then begin
-          s.clauses.(id).deleted <- true;
-          s.learned_clauses <- s.learned_clauses - 1;
-          s.deleted_total <- s.deleted_total + 1;
-          log_delete s s.clauses.(id).lits
-        end)
-      sorted;
-    rebuild_watches s
-  end
+  let cand = ref [] in
+  for id = 0 to s.clause_count - 1 do
+    let c = s.clauses.(id) in
+    if c.learned && (not c.deleted) && Array.length c.lits > 2
+       && c.glue > 2 && not (locked s id)
+    then cand := (c.glue, c.activity, id) :: !cand
+  done;
+  (* Worst first: highest glue, ties broken by lowest activity. *)
+  let worst_first =
+    List.sort
+      (fun (g1, a1, _) (g2, a2, _) ->
+        if g1 <> g2 then compare g2 g1 else compare a1 a2)
+      !cand
+  in
+  let to_delete = List.length worst_first / 2 in
+  let deleted = ref 0 in
+  List.iteri
+    (fun i (_, _, id) ->
+      if i < to_delete then begin
+        s.clauses.(id).deleted <- true;
+        s.learned_clauses <- s.learned_clauses - 1;
+        s.deleted_total <- s.deleted_total + 1;
+        log_delete s s.clauses.(id).lits;
+        incr deleted
+      end)
+    worst_first;
+  if !deleted > 0 then compact_watches s
 
 (* --- adding clauses --------------------------------------------------------- *)
 

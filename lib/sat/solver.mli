@@ -27,26 +27,19 @@ type lit = int
 
 (** {2 Configuration}
 
-    The pre-overhaul solver behavior is kept in-tree as
-    {!legacy_config} so performance comparisons (see [bench/main.exe
-    sat]) pit the two against each other inside one binary.  Both
-    configurations are complete and produce identical Sat/Unsat
-    verdicts; they differ only in data-structure and heuristic choices
-    on the hot path. *)
+    Every production solver runs {!default_config}; portfolio members
+    vary only the restart pacing, reduction slack and seed.  The one
+    data-structure toggle, [binary_specialization], is off only for
+    exact synthesis, whose chains are read off the model and therefore
+    depend on the search order (see [Logic.Exact_synth]). *)
 
 type config = {
   binary_specialization : bool;
       (** Keep 2-literal clauses (problem and learned) in per-literal
           implication lists; propagation over them never dereferences a
           clause.  Learned binaries are still DRAT-logged and are
-          immortal (never deleted). *)
-  blocking_literals : bool;
-      (** Cache a blocking literal next to each watch entry; a satisfied
-          blocker skips the clause without touching clause memory. *)
-  glue_reduction : bool;
-      (** Reduce the learned database by LBD ("glue"): clauses with glue
-          <= 2 are immortal, ties are broken by activity, and watch lists
-          are compacted in place instead of rebuilt from scratch. *)
+          immortal (never deleted).  With [false] they live in the
+          clause arena like any other clause. *)
   restart_base : int;
       (** Conflicts per Luby restart unit (round [r] of a [solve] call
           allows [restart_base * luby r] conflicts before restarting).
@@ -65,20 +58,11 @@ type config = {
 }
 
 val default_config : config
-(** All optimizations on. *)
-
-val legacy_config : config
-(** The pre-overhaul solver: binaries in the clause arena, no blocking
-    literals, activity-based reduction with a full watch rebuild. *)
-
-val set_global_config : config -> unit
-(** Set the configuration used by {!create} when none is given
-    explicitly.  Initially {!default_config}. *)
-
-val global_config : unit -> config
+(** Binary specialization on, historical restart and reduction pacing,
+    no seed. *)
 
 val create : ?config:config -> unit -> t
-(** [config] defaults to the current global configuration. *)
+(** [config] defaults to {!default_config}. *)
 
 val config : t -> config
 
@@ -160,7 +144,7 @@ type stats = {
   reductions : int;  (** Number of [reduce_db] passes. *)
   watch_compaction_scans : int;
       (** Watch entries scanned by in-place compaction — the actual
-          database-maintenance work, replacing the old full rebuild. *)
+          database-maintenance work. *)
   lbd_hist : int array;
       (** Per-solve LBD histogram (reset at each [solve]); bin [i] counts
           learned clauses with glue [i], the last bin is a catch-all.

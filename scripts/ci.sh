@@ -23,11 +23,12 @@
 #                              report results bit-identical to jobs=1 --
 #                              the harness exits nonzero on any mismatch
 #                              -- and write a well-formed BENCH_sim.json)
-#   8. SAT bench smoke        (legacy vs. tuned solver configurations on
-#                              exact P&R and equivalence miters: verdicts
-#                              must be identical, refutation proofs must
-#                              check, and BENCH_sat.json must be
-#                              well-formed)
+#   8. SAT bench smoke        (exact P&R and equivalence miters against
+#                              independent oracles: exact layouts must be
+#                              equivalent to their networks, miter
+#                              verdicts must match brute-force
+#                              simulation, refutation proofs must check,
+#                              and BENCH_sat.json must be well-formed)
 #   9. logic bench smoke      (priority-cut vs. exhaustive synthesis on
 #                              every Table-1 benchmark: the mapped
 #                              netlists must be node-for-node identical,
@@ -122,20 +123,18 @@ if grep -q '"identical_to_serial": false' "$out"; then
 fi
 rm -f "$out"
 
-echo "== 8/14 SAT bench smoke (config parity + BENCH_sat.json shape) =="
+echo "== 8/14 SAT bench smoke (oracle parity + BENCH_sat.json shape) =="
 out=$(mktemp)
 dune exec bench/main.exe -- sat --smoke --out "$out"
-# Shape check: schema marker, both solver configurations, per-solve
-# statistics, and the legacy-vs-tuned verdict identity the harness
-# itself enforces (it exits nonzero on any mismatch or rejected proof).
+# Shape check: schema marker, the solver configuration, per-solve
+# statistics, and the verdict-vs-oracle identity the harness itself
+# enforces (it exits nonzero on any mismatch or rejected proof).
 grep -q '"schema": "fictionette-bench-sat/1"' "$out"
-grep -q '"config": "legacy"' "$out"
 grep -q '"config": "tuned"' "$out"
 grep -q '"propagations":' "$out"
-grep -q '"speedup_vs_legacy":' "$out"
-grep -q '"verdict_matches_legacy": true' "$out"
-if grep -q '"verdict_matches_legacy": false' "$out"; then
-    echo "sat bench smoke: tuned verdict differed from legacy" >&2
+grep -q '"verdict_matches_oracle": true' "$out"
+if grep -q '"verdict_matches_oracle": false' "$out"; then
+    echo "sat bench smoke: a verdict differed from its oracle" >&2
     exit 1
 fi
 rm -f "$out"

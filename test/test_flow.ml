@@ -499,6 +499,35 @@ let test_table1_subset () =
       Alcotest.(check bool) "sidbs counted" true (r1.T1.sidbs > 0)
   | _ -> Alcotest.fail "expected two rows"
 
+(* EXPERIMENTS.md Table 1 "ours": area in tiles and SiDB count per
+   circuit, for all but the two circuits that take tens of seconds
+   (majority_5_r1, cm82a_5).  Any change to synthesis (including the
+   exact-synthesis chains behind rewriting), mapping or P&R shows here. *)
+let table1_ours =
+  [
+    ("xor2", 6, 54); ("xnor2", 6, 54); ("par_gen", 12, 95);
+    ("mux21", 18, 179); ("par_check", 20, 147); ("xor5_r1", 30, 219);
+    ("xor5_majority", 30, 210); ("t", 50, 602); ("t_5", 50, 602);
+    ("c17", 40, 362); ("majority", 24, 258); ("newtag", 80, 560);
+  ]
+
+let test_table1_pinned () =
+  List.iter
+    (fun (name, area, sidbs) ->
+      let spec = (Logic.Benchmarks.find name).Logic.Benchmarks.build () in
+      match F.run spec with
+      | Error f -> Alcotest.fail (name ^ ": " ^ F.error_message f)
+      | Ok r ->
+          Alcotest.(check int) (name ^ " tiles") area
+            (GL.stats r.F.gate_layout).GL.area_tiles;
+          Alcotest.(check int) (name ^ " sidbs") sidbs
+            (match r.F.sidb with
+            | Some s -> s.Bestagon.Library.sidb_count
+            | None -> -1);
+          Alcotest.(check bool) (name ^ " equivalent") true
+            (r.F.equivalence = Some E.Equivalent))
+    table1_ours
+
 let test_paper_rows_complete () =
   Alcotest.(check int) "14 benchmarks" 14 (List.length T1.paper_rows);
   List.iter
@@ -557,6 +586,7 @@ let () =
       ( "table1",
         [
           Alcotest.test_case "subset" `Slow test_table1_subset;
+          Alcotest.test_case "pinned areas and SiDBs" `Slow test_table1_pinned;
           Alcotest.test_case "paper data" `Quick test_paper_rows_complete;
         ] );
     ]

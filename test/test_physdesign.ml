@@ -124,17 +124,25 @@ let test_exact_global_conflict_budget () =
   let nl = NL.of_mapped (mapped_of "par_check") in
   (* The deterministic solver needs 2 conflicts for the first (already
      satisfiable) candidate; a global budget of 1 must end in a
-     structured Out_of_budget, never an exception — at any job count. *)
-  List.iter
-    (fun jobs ->
-      let config = { Ex.default_config with jobs } in
-      match
-        Ex.place_and_route ~config ~budget:(Sat.Budget.of_conflicts 1) nl
-      with
-      | Error (Ex.Out_of_budget { reason = Sat.Budget.Conflicts; _ }) -> ()
-      | Error f -> Alcotest.fail ("unexpected failure: " ^ Ex.failure_message f)
-      | Ok _ -> Alcotest.fail "1 conflict cannot route par_check")
-    [ None; Some 1; Some 4 ];
+     structured Out_of_budget, never an exception — at any job count,
+     and after the same number of candidate solves. *)
+  let attempts =
+    List.map
+      (fun jobs ->
+        let config = { Ex.default_config with jobs } in
+        match
+          Ex.place_and_route ~config ~budget:(Sat.Budget.of_conflicts 1) nl
+        with
+        | Error
+            (Ex.Out_of_budget { reason = Sat.Budget.Conflicts; attempts; _ }) ->
+            attempts
+        | Error f ->
+            Alcotest.fail ("unexpected failure: " ^ Ex.failure_message f)
+        | Ok _ -> Alcotest.fail "1 conflict cannot route par_check")
+      [ None; Some 1; Some 4 ]
+  in
+  Alcotest.(check (list int)) "attempts at jobs default, 1, 4" [ 1; 1; 1 ]
+    attempts;
   (* An already-expired deadline trips before any solving. *)
   match
     Ex.place_and_route
@@ -172,6 +180,37 @@ let test_exact_speculative_solves () =
   Alcotest.(check int) "next size speculated at jobs 2" 1
     wave.Ex.speculative_solves;
   Alcotest.(check bool) "same statistics" true (untimed serial = untimed wave)
+
+let test_exact_admission_jobs_invariant () =
+  (* The unrewritten majority netlist refutes three candidate sizes
+     before its 3x8 winner.  With only two instances allowed open, a
+     wider wave must be solved before the next size is admitted, just as
+     the one-at-a-time search would: the whole result is the same at
+     any job count. *)
+  let nl = NL.of_mapped (mapped_of "majority") in
+  let run jobs =
+    let config =
+      { Ex.default_config with jobs = Some jobs; max_open_instances = 2 }
+    in
+    match Ex.place_and_route ~config nl with
+    | Ok r -> r
+    | Error e -> Alcotest.fail (Ex.failure_message e)
+  in
+  let summary (r : Ex.result) =
+    ( (r.Ex.attempts, r.Ex.rounds),
+      { r.Ex.stats with Sat.Solver.solve_time_s = 0. },
+      GL.fold r.Ex.layout ~init:[] ~f:(fun acc c t -> (c, t) :: acc) )
+  in
+  let serial = run 1 in
+  Alcotest.(check bool) "three refutations first" true
+    (serial.Ex.attempts >= 4);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d matches jobs 1" jobs)
+        true
+        (summary (run jobs) = summary serial))
+    [ 2; 4 ]
 
 let test_exact_escalation_reaches_layout () =
   (* Escalating rounds over a modest per-round allowance still reach a
@@ -279,6 +318,8 @@ let () =
             test_exact_global_conflict_budget;
           Alcotest.test_case "speculative solves" `Quick
             test_exact_speculative_solves;
+          Alcotest.test_case "admission jobs-invariant" `Quick
+            test_exact_admission_jobs_invariant;
           Alcotest.test_case "escalation" `Quick
             test_exact_escalation_reaches_layout;
         ] );

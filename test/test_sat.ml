@@ -352,7 +352,9 @@ let test_cancelled_resume_never_sat_when_poisoned () =
   (* The root-conflict regression crossed with cancellation: cancel the
      very first solve on the poisoned formula, then resume with and
      without assumptions.  No call may ever answer Sat. *)
-  [ S.legacy_config; S.default_config ]
+  [
+    { S.default_config with binary_specialization = false }; S.default_config;
+  ]
   |> List.iter (fun config ->
          let s = S.create ~config () in
          for _ = 1 to 7 do
@@ -392,7 +394,9 @@ let test_root_conflict_poisons_solver () =
      root trail only partially propagated; any later call — whatever the
      assumptions — must keep answering Unsat rather than accept that
      inconsistent trail as a model. *)
-  [ S.legacy_config; S.default_config ]
+  [
+    { S.default_config with binary_specialization = false }; S.default_config;
+  ]
   |> List.iter (fun config ->
          let s = S.create ~config () in
          for _ = 1 to 7 do
